@@ -17,7 +17,6 @@
 // bench observability env vars (BC_PROFILE / BC_METRICS_OUT / BC_TRACE_OUT)
 // are honoured via figure_common.hpp.
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include "graph/maxflow.hpp"
 #include "graph/reference_graph.hpp"
 #include "obs/export.hpp"
+#include "obs/profile.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -38,14 +38,6 @@
 using namespace bc;
 
 namespace {
-
-// bc-analyze: allow(D2) -- benchmark wall-time helper; timings are reported, never fed back into simulation state
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // bc-analyze: allow(D2) -- benchmark wall-time helper; never feeds simulation state
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 constexpr PeerId kOpPeers = 400;
 constexpr std::size_t kAdds = 60000;
@@ -77,46 +69,41 @@ std::vector<double> run_ops(G& g, TwoHopFn flow, ScanFn scan) {
   };
   Bytes sink = 0;
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  auto t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch adds;
   for (std::size_t i = 0; i < kAdds; ++i) {
     const PeerId u = pick(), v = pick();
     if (u != v) g.add_capacity(u, v, rng.uniform_int(1, kMiB));
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kAdds));
+  ns.push_back(adds.elapsed_ms() * 1e6 / static_cast<double>(kAdds));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch sets;
   for (std::size_t i = 0; i < kSets; ++i) {
     const PeerId u = pick(), v = pick();
     if (u != v) g.set_capacity(u, v, rng.uniform_int(1, kMiB));
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kSets));
+  ns.push_back(sets.elapsed_ms() * 1e6 / static_cast<double>(kSets));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch queries;
   for (std::size_t i = 0; i < kQueries; ++i) {
     // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     sink += g.capacity(pick(), pick());
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kQueries));
+  ns.push_back(queries.elapsed_ms() * 1e6 / static_cast<double>(kQueries));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch scans;
   for (std::size_t i = 0; i < kScans; ++i) {
     // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     sink += scan(g, pick());
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kScans));
+  ns.push_back(scans.elapsed_ms() * 1e6 / static_cast<double>(kScans));
 
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch two_hops;
   for (std::size_t i = 0; i < kTwoHops; ++i) {
     const PeerId s = pick(), t = pick();
     // bc-analyze: allow(V1) -- DCE-defeating sink inside the timed region; checked arithmetic here would perturb the measured op, and the value is only compared against a sentinel
     if (s != t) sink += flow(g, s, t);
   }
-  ns.push_back(ms_since(t0) * 1e6 / static_cast<double>(kTwoHops));
+  ns.push_back(two_hops.elapsed_ms() * 1e6 / static_cast<double>(kTwoHops));
 
   if (sink == Bytes{0} - 1) std::printf("impossible\n");  // keep sink alive
   return ns;
@@ -216,8 +203,7 @@ SweepResult run_sweep(bool incremental) {
   Bytes claim = 2 * kGiB;  // above the seeded range so merges always apply
   double checksum = 0.0;
   std::uint64_t cold_evals = 0;
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch sw;
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (std::size_t m = 0; m < kMutationsPerRound; ++m) {
       const auto u =
@@ -239,8 +225,7 @@ SweepResult run_sweep(bool incremental) {
       }
     }
   }
-  const double ms = ms_since(t0);
-  return {ms, checksum, incremental ? cache.misses() : cold_evals};
+  return {sw.elapsed_ms(), checksum, incremental ? cache.misses() : cold_evals};
 }
 
 double run_sweep_section(std::string& json) {

@@ -13,7 +13,6 @@
 // result is bit-identical to serial and reports the speedup, writing the
 // numbers to BENCH_parallel.json (override the path with BC_BENCH_OUT).
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "bartercast/node.hpp"
 #include "obs/export.hpp"
+#include "obs/profile.hpp"
 #include "util/assert.hpp"
 #include "util/concurrency/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -31,14 +31,6 @@ using namespace bc::bartercast;
 
 namespace {
 
-// bc-analyze: allow(D2) -- benchmark wall-time helper; timings are reported, never fed back into simulation state
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             // bc-analyze: allow(D2) -- benchmark wall-time helper; never feeds simulation state
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 struct Row {
   std::size_t peers;
   double ingest_ms;        // applying one message per peer
@@ -47,10 +39,13 @@ struct Row {
   std::size_t graph_edges;
 };
 
-Row run_scale(std::size_t population, std::uint64_t seed) {
-  BC_ASSERT(population > 0);
+/// Gives `evaluator` its direct partners and builds one BarterCast message
+/// per peer of the population, without ingesting them: the caller times
+/// only the ingest, not the (O(n) per draw) zipf sampling.
+std::vector<BarterCastMessage> make_population(Node& evaluator,
+                                               std::size_t population,
+                                               std::uint64_t seed) {
   Rng rng(seed);
-  Node evaluator(0);
   // The evaluator bartered with a bounded set of direct partners (its
   // working set does not grow with the population — that is the point of
   // the subjective design).
@@ -59,13 +54,10 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
     evaluator.on_bytes_received(p, rng.uniform_int(kMiB, kGiB), 0.0);
     evaluator.on_bytes_sent(p, rng.uniform_int(kMiB, kGiB), 0.0);
   }
-
-  // One BarterCast message from every peer in the population.
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<BarterCastMessage> messages(population);
   for (std::size_t i = 0; i < population; ++i) {
     const auto sender = static_cast<PeerId>(1000 + i);
-    BarterCastMessage msg;
+    BarterCastMessage& msg = messages[i];
     msg.sender = sender;
     for (int r = 0; r < 20; ++r) {
       BarterRecord rec;
@@ -78,13 +70,23 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
       rec.other_to_subject = rng.uniform_int(kMiB, kGiB);
       msg.records.push_back(rec);
     }
-    evaluator.receive_message(msg);
   }
-  const double ingest_ms = ms_since(t0);
+  return messages;
+}
+
+Row run_scale(std::size_t population, std::uint64_t seed) {
+  BC_ASSERT(population > 0);
+  Node evaluator(0);
+  const std::vector<BarterCastMessage> messages =
+      make_population(evaluator, population, seed);
+
+  // One BarterCast message from every peer in the population.
+  const obs::Stopwatch ingest;
+  for (const BarterCastMessage& msg : messages) evaluator.receive_message(msg);
+  const double ingest_ms = ingest.elapsed_ms();
 
   // Cold reputation evaluations across distinct subjects.
-  // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-  const auto t1 = std::chrono::steady_clock::now();
+  const obs::Stopwatch eval;
   const std::size_t evals = 2000;
   double sink = 0.0;
   ReputationEngine engine;
@@ -92,40 +94,14 @@ Row run_scale(std::size_t population, std::uint64_t seed) {
     const auto subject = static_cast<PeerId>(1000 + (i * 37) % population);
     sink += engine.reputation(evaluator.view().graph(), 0, subject);
   }
-  const double eval_us = ms_since(t1) * 1000.0 / static_cast<double>(evals);
+  const double eval_us =
+      eval.elapsed_ms() * 1000.0 / static_cast<double>(evals);
   // bc-analyze: allow(B2) -- dead-code-elimination guard comparing against a sentinel no reputation sum can produce; not a real comparison
   if (sink == -1e300) std::printf("impossible\n");  // keep `sink` alive
 
   return Row{population, ingest_ms, eval_us,
              evaluator.view().graph().num_nodes(),
              evaluator.view().graph().num_edges()};
-}
-
-/// Ingests the same synthetic message load as run_scale (without timing
-/// it), leaving `evaluator` with a populated subjective graph.
-void ingest_population(Node& evaluator, std::size_t population,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  const std::size_t direct = 200;
-  for (PeerId p = 1; p <= direct; ++p) {
-    evaluator.on_bytes_received(p, rng.uniform_int(kMiB, kGiB), 0.0);
-    evaluator.on_bytes_sent(p, rng.uniform_int(kMiB, kGiB), 0.0);
-  }
-  for (std::size_t i = 0; i < population; ++i) {
-    const auto sender = static_cast<PeerId>(1000 + i);
-    BarterCastMessage msg;
-    msg.sender = sender;
-    for (int r = 0; r < 20; ++r) {
-      BarterRecord rec;
-      rec.subject = sender;
-      rec.other = static_cast<PeerId>(1 + rng.zipf(direct * 5, 1.0));
-      if (rec.other == sender) continue;
-      rec.subject_to_other = rng.uniform_int(kMiB, kGiB);
-      rec.other_to_subject = rng.uniform_int(kMiB, kGiB);
-      msg.records.push_back(rec);
-    }
-    evaluator.receive_message(msg);
-  }
 }
 
 /// Threads sweep over the batch two-hop evaluation: per-index writes on the
@@ -136,7 +112,10 @@ void run_threads_sweep() {
   const std::size_t population = 10000;
   const std::size_t evals = 4000;
   Node evaluator(0);
-  ingest_population(evaluator, population, 17);
+  for (const BarterCastMessage& msg :
+       make_population(evaluator, population, 17)) {
+    evaluator.receive_message(msg);
+  }
   const ReputationEngine engine;
   const auto& graph = evaluator.view().graph();
 
@@ -154,8 +133,7 @@ void run_threads_sweep() {
   bool first = true;
   for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
     util::ThreadPool pool(threads);
-    // bc-analyze: allow(D2) -- benchmark wall-time measurement; never feeds simulation state
-    const auto t0 = std::chrono::steady_clock::now();
+    const obs::Stopwatch sw;
     std::vector<double> out(evals, 0.0);
     pool.parallel_for(evals, [&](std::size_t i) {
       const auto subject = static_cast<PeerId>(1000 + (i * 37) % population);
@@ -163,7 +141,7 @@ void run_threads_sweep() {
     });
     double sum = 0.0;
     for (const double v : out) sum += v;  // serial merge, index order
-    const double ms = ms_since(t0);
+    const double ms = sw.elapsed_ms();
     const auto bits = std::bit_cast<std::uint64_t>(sum);
     if (threads == 1) {
       base_ms = ms;

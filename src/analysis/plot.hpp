@@ -28,8 +28,8 @@ std::string write_speed_plot(const community::Metrics& metrics,
                              const std::string& directory,
                              const std::string& stem);
 
-/// End-of-run final-reputation distribution per class, from the obs
-/// histograms Metrics fills in finalize() — distributions, not just the
+/// End-of-run final-reputation distribution per class (40 buckets on
+/// [-1, 1]) binned from Metrics::outcomes — distributions, not just the
 /// time-series means of Figure 1(a).
 std::string write_reputation_histogram_plot(const community::Metrics& metrics,
                                             const std::string& directory,

@@ -26,7 +26,7 @@ void put(std::vector<std::uint8_t>& out, T value) {
       std::swap(bytes[i], bytes[sizeof(T) - 1 - i]);
     }
   }
-  out.insert(out.end(), bytes, bytes + sizeof(T));
+  for (const std::uint8_t b : bytes) out.push_back(b);
 }
 
 template <typename T>

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/ids.hpp"
 #include "util/timeseries.hpp"
 #include "util/units.hpp"
@@ -65,13 +64,6 @@ struct Metrics {
 
   std::vector<PeerOutcome> outcomes;  // one per trace peer, by peer id
   MessageStats messages;
-
-  // End-of-run distribution of final system reputations per class (the
-  // histogram view behind the Figure 1 class means; bench_plots renders it
-  // via analysis::write_reputation_histogram_plot). 40 buckets across the
-  // metric's full (-1, 1) range.
-  obs::Histogram reputation_hist_sharers;
-  obs::Histogram reputation_hist_freeriders;
 
   /// Mean download speed of a class over the last `tail` seconds of the
   /// run (used for the endpoint comparisons of Figures 2-3).

@@ -693,15 +693,13 @@ void CommunitySimulator::finalize() {
   BC_OBS_SCOPE("community.finalize");
   const auto n = static_cast<PeerId>(trace_.peers.size());
   metrics_.outcomes.resize(n);
-  // The registry mirrors of the per-class distributions accumulate across
-  // runs in one process; the Metrics histograms are this run only.
+  // Registry mirrors of the per-class final-reputation distributions; they
+  // accumulate across runs in one process (Metrics::outcomes is this run).
   auto& registry = obs::Registry::instance();
-  obs::Histogram& reg_sharers = registry.histogram(
-      "community.final_reputation_sharers",
-      obs::Histogram::uniform_edges(-1.0, 1.0, 40));
-  obs::Histogram& reg_freeriders = registry.histogram(
-      "community.final_reputation_freeriders",
-      obs::Histogram::uniform_edges(-1.0, 1.0, 40));
+  obs::LogHistogram& reg_sharers = registry.log_histogram(
+      "community.final_reputation_sharers", obs::LogSpec::signed_unit());
+  obs::LogHistogram& reg_freeriders = registry.log_histogram(
+      "community.final_reputation_freeriders", obs::LogSpec::signed_unit());
   const std::vector<double> reps =
       n >= 2 ? batch_system_reputations() : std::vector<double>(n, 0.0);
   for (PeerId i = 0; i < n; ++i) {
@@ -718,13 +716,8 @@ void CommunitySimulator::finalize() {
     o.time_downloading = p.time_downloading;
     o.late_downloaded = p.late_downloaded;
     o.late_time_downloading = p.late_time_downloading;
-    if (o.freerider) {
-      metrics_.reputation_hist_freeriders.add(o.final_system_reputation);
-      reg_freeriders.add(o.final_system_reputation);
-    } else {
-      metrics_.reputation_hist_sharers.add(o.final_system_reputation);
-      reg_sharers.add(o.final_system_reputation);
-    }
+    (o.freerider ? reg_freeriders : reg_sharers)
+        .observe(o.final_system_reputation);
   }
   // After the final reputation sweep, so its cache activity is included.
   publish_cache_totals();

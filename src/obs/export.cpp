@@ -38,26 +38,6 @@ std::string metrics_json(const Registry& registry, const Profiler& profiler) {
   }
   out += first ? "},\n" : "\n  },\n";
 
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& h : snap.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(h.name) + "\": {\"upper_edges\": [";
-    for (std::size_t i = 0; i < h.upper_edges.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += format_double(h.upper_edges[i]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += std::to_string(h.counts[i]);
-    }
-    out += "], \"total\": " + std::to_string(h.total) +
-           ", \"sum\": " + format_double(h.sum) + "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
-
   out += "  \"log_histograms\": {";
   first = true;
   for (const auto& h : snap.log_histograms) {
@@ -66,8 +46,11 @@ std::string metrics_json(const Registry& registry, const Profiler& profiler) {
     out += "    \"" + json_escape(h.name) + "\": {\"buckets\": [";
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "[" + std::to_string(h.buckets[i].first) + ", " +
-             std::to_string(h.buckets[i].second) + "]";
+      out.append("[")
+          .append(std::to_string(h.buckets[i].first))
+          .append(", ")
+          .append(std::to_string(h.buckets[i].second))
+          .append("]");
     }
     out += "], \"total\": " + std::to_string(h.total) +
            ", \"sum\": " + format_double(h.sum) +
@@ -100,15 +83,6 @@ std::string metrics_csv(const Registry& registry) {
   }
   for (const auto& [name, value] : snap.gauges) {
     out += name + ",gauge," + format_double(value) + "\n";
-  }
-  for (const auto& h : snap.histograms) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      const std::string edge = i < h.upper_edges.size()
-                                   ? format_double(h.upper_edges[i])
-                                   : "inf";
-      out += h.name + "[le=" + edge + "],histogram," +
-             std::to_string(h.counts[i]) + "\n";
-    }
   }
   for (const auto& h : snap.log_histograms) {
     for (const auto& [index, count] : h.buckets) {

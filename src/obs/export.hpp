@@ -4,8 +4,6 @@
 // The JSON document groups instruments by kind:
 //
 //   { "counters": {...}, "gauges": {...},
-//     "histograms": {"name": {"upper_edges": [...], "counts": [...],
-//                             "total": n, "sum": x}},
 //     "log_histograms": {"name": {"buckets": [[index, count], ...],
 //                                 "total": n, "sum": x, "p50": x,
 //                                 "p90": x, "p99": x, "max": x}},
@@ -30,8 +28,8 @@ namespace bc::obs {
 /// Full JSON dump of the registry plus profiler (see format above).
 std::string metrics_json(const Registry& registry, const Profiler& profiler);
 
-/// Flat `name,kind,value` CSV of counters and gauges; histogram buckets
-/// emit one `name[le=edge],histogram,count` row each.
+/// Flat `name,kind,value` CSV of counters and gauges, plus one row per
+/// non-empty log-histogram bucket and its p50/p99.
 std::string metrics_csv(const Registry& registry);
 
 /// Human-readable profile table: site, calls, total ms, mean us per call.

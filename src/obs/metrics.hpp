@@ -1,5 +1,5 @@
-// Metrics registry: named counters, gauges, fixed-bucket histograms, and
-// sharded log-bucket (HDR-style) histograms.
+// Metrics registry: named counters, gauges, and sharded log-bucket
+// (HDR-style) histograms.
 //
 // Call sites cache the instrument reference once (typically in a
 // function-local static) and touch only the instrument afterwards:
@@ -9,10 +9,9 @@
 //   exchanges.inc();
 //
 // Registry storage is node-based (std::map), so references returned by
-// counter()/gauge()/histogram()/log_histogram() stay valid for the
-// registry's lifetime, including across reset_values(). Snapshots iterate
-// the maps in key order, which makes exported output deterministic
-// run-to-run.
+// counter()/gauge()/log_histogram() stay valid for the registry's
+// lifetime, including across reset_values(). Snapshots iterate the maps
+// in key order, which makes exported output deterministic run-to-run.
 //
 // Thread safety and sharding: instrumented code may run on
 // bc::util::ThreadPool workers (the batch reputation sweeps), so the
@@ -28,12 +27,12 @@
 // add when no shard slot covers the caller, so they are safe from any
 // thread even before configure_shards().
 //
-// Gauges and fixed-bucket histograms remain serial-phase instruments:
-// their state is `double` (last-writer-wins / FP accumulation), which no
-// commutative merge can make bit-stable across thread counts. They are
-// only touched from engine callbacks and finalize(); a debug-mode
-// owning-thread check (active under the `validate` preset) makes a pool
-// worker touching one fail fast instead of silently racing.
+// Gauges remain serial-phase instruments: their state is a `double`
+// (last-writer-wins), which no commutative merge can make bit-stable
+// across thread counts. They are only touched from engine callbacks and
+// finalize(); a debug-mode owning-thread check (active under the
+// `validate` preset) makes a pool worker touching one fail fast instead
+// of silently racing.
 //
 // The registry does not know about simulation time; periodic snapshots are
 // driven externally (see obs/stream.hpp, obs/export.hpp and
@@ -150,42 +149,6 @@ class Gauge {
   const void* owner_ = util::current_thread_tag();
 };
 
-/// Fixed-bucket histogram with explicit ascending upper edges. A value v
-/// lands in the first bucket whose upper edge satisfies v <= edge; values
-/// above the last edge land in an implicit overflow bucket, so total()
-/// always equals the number of add() calls. Serial-phase only (double
-/// `sum` accumulation), with the same debug owning-thread check as Gauge.
-class Histogram {
- public:
-  Histogram() = default;
-  explicit Histogram(std::vector<double> upper_edges);
-
-  /// Uniform edges covering [lo, hi] with `num_buckets` finite buckets
-  /// (the overflow bucket comes on top).
-  static std::vector<double> uniform_edges(double lo, double hi,
-                                           std::size_t num_buckets);
-
-  void add(double value);
-
-  /// Finite buckets plus the overflow bucket.
-  std::size_t num_buckets() const { return counts_.size(); }
-  /// Upper edge of bucket `i`; the overflow bucket reports +infinity.
-  double upper_edge(std::size_t i) const;
-  std::uint64_t count(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  double sum() const { return sum_; }
-  const std::vector<double>& edges() const { return edges_; }
-
-  void reset();
-
- private:
-  std::vector<double> edges_;           // ascending finite upper bounds
-  std::vector<std::uint64_t> counts_;   // edges_.size() + 1 (overflow last)
-  std::uint64_t total_ = 0;
-  double sum_ = 0.0;
-  const void* owner_ = util::current_thread_tag();
-};
-
 /// Geometry of a LogHistogram: sign-symmetric logarithmic buckets —
 /// power-of-two octaves split into 2^sub_bits linear sub-buckets (the
 /// HDR-histogram shape). Memory is O(octaves * sub-buckets), fixed at
@@ -297,14 +260,6 @@ class LogHistogram {
 };
 
 /// Value-copies of every instrument, sorted by name.
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> upper_edges;
-  std::vector<std::uint64_t> counts;  // incl. trailing overflow bucket
-  std::uint64_t total = 0;
-  double sum = 0.0;
-};
-
 struct LogHistogramSnapshot {
   std::string name;
   /// Non-empty buckets only, ascending index (= ascending value).
@@ -328,7 +283,6 @@ struct LogHistogramSnapshot {
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<LogHistogramSnapshot> log_histograms;
 };
 
@@ -340,11 +294,10 @@ class Registry {
   static Registry& instance();
 
   /// Finds or creates the named instrument. References stay valid for the
-  /// registry's lifetime. For histogram()/log_histogram(), the geometry
-  /// argument is consumed only on first creation; later lookups ignore it.
+  /// registry's lifetime. For log_histogram(), the spec argument is
+  /// consumed only on first creation; later lookups ignore it.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> upper_edges);
   LogHistogram& log_histogram(std::string_view name, const LogSpec& spec);
 
   /// Serial-phase only: guarantees every sharded instrument (existing and
@@ -371,8 +324,6 @@ class Registry {
   std::size_t shard_slots_ BC_GUARDED_BY(mu_) = 0;
   std::map<std::string, Counter, std::less<>> counters_ BC_GUARDED_BY(mu_);
   std::map<std::string, Gauge, std::less<>> gauges_ BC_GUARDED_BY(mu_);
-  std::map<std::string, Histogram, std::less<>> histograms_
-      BC_GUARDED_BY(mu_);
   std::map<std::string, LogHistogram, std::less<>> log_histograms_
       BC_GUARDED_BY(mu_);
 };

@@ -93,4 +93,10 @@ ScopedTimer::~ScopedTimer() {
   profiler_->record(*site_, elapsed, outermost);
 }
 
+Stopwatch::Stopwatch() : start_(now_nanos()) {}
+
+double Stopwatch::elapsed_ms() const {
+  return static_cast<double>(now_nanos() - start_) / 1e6;
+}
+
 }  // namespace bc::obs

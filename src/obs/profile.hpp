@@ -11,7 +11,7 @@
 // constructs a ScopedTimer. While the profiler is disabled — the default —
 // the timer constructor is a single branch and no clock is read, keeping
 // instrumented hot paths within noise of uninstrumented ones. Enabled, the
-// cost is two steady_clock reads plus one short mutex section per scope.
+// cost is two monotonic-clock reads plus one short mutex section per scope.
 //
 // Sites aggregate *inclusive* wall time: a scope nested inside another
 // contributes to both. Recursive re-entry of the same site counts every
@@ -99,6 +99,19 @@ class ScopedTimer {
  private:
   ProfileSite* site_ = nullptr;  // null when the profiler was disabled
   Profiler* profiler_ = nullptr;
+  std::uint64_t start_ = 0;
+};
+
+/// Wall-time stopwatch for benches, on the profiler's monotonic clock (the
+/// one wall clock the determinism rules sanction). Starts at construction;
+/// construct a new one to restart.
+class Stopwatch {
+ public:
+  Stopwatch();
+
+  double elapsed_ms() const;
+
+ private:
   std::uint64_t start_ = 0;
 };
 

@@ -43,7 +43,7 @@ class ShardSlotScope {
 };
 
 /// Stable opaque identity of the calling thread, for the owning-thread
-/// debug checks on serial-phase instruments (obs::Gauge / obs::Histogram).
+/// debug checks on serial-phase instruments (obs::Gauge).
 /// Distinct threads return distinct pointers for the lifetime of both
 /// threads; the value orders nothing and is never used as a key, so it
 /// cannot introduce pointer-order nondeterminism (bc-analyze D4).

@@ -1,44 +1,8 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/assert.hpp"
 
 namespace bc {
-
-Histogram::Histogram(double lo, double hi, std::size_t num_bins)
-    : lo_(lo), hi_(hi), counts_(num_bins, 0) {
-  BC_ASSERT(hi > lo);
-  BC_ASSERT(num_bins > 0);
-}
-
-void Histogram::add(double value) {
-  BC_ASSERT(!counts_.empty());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  BC_ASSERT(width > 0.0);
-  double idx = (value - lo_) / width;
-  idx = std::clamp(idx, 0.0, static_cast<double>(counts_.size() - 1));
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
-double Histogram::density(std::size_t bin) const {
-  BC_ASSERT(bin < counts_.size());
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
 
 std::vector<CdfPoint> empirical_cdf(std::span<const double> values) {
   std::vector<double> sorted(values.begin(), values.end());

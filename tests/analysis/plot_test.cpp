@@ -7,6 +7,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "community/simulator.hpp"
+#include "trace/generator.hpp"
+
 namespace bc::analysis {
 namespace {
 
@@ -29,7 +32,11 @@ struct PlotFixture : ::testing::Test {
     o.total_downloaded = gib(1.0);
     o.final_system_reputation = 0.4;
     metrics.outcomes.push_back(o);
-    dir = std::filesystem::temp_directory_path() / "bc_plot_test";
+    // One directory per test: ctest runs the cases as parallel processes,
+    // and one fixture's teardown must not delete another's files.
+    dir = std::filesystem::temp_directory_path() /
+          (std::string("bc_plot_test_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir);
   }
   ~PlotFixture() override {
@@ -75,6 +82,38 @@ TEST_F(PlotFixture, CdfPlot) {
   ASSERT_FALSE(gp.empty());
   const std::string dat = slurp((dir / "cdf.dat").string());
   EXPECT_NE(dat.find("0.750000"), std::string::npos);
+}
+
+// Pins the Figure 1(c) histogram file of a small seeded community run byte
+// for byte: the bucket placement (values on an edge close that bucket) and
+// the skipping of empty buckets must not drift under refactors.
+TEST_F(PlotFixture, ReputationHistogramOfSeededRunIsPinned) {
+  trace::GeneratorConfig tcfg;
+  tcfg.seed = 55;
+  tcfg.num_peers = 30;
+  tcfg.num_swarms = 4;
+  tcfg.duration = 2.0 * kDay;
+  tcfg.file_size_max = mib(700);
+  community::ScenarioConfig cfg;
+  cfg.seed = 9;
+  community::CommunitySimulator sim(trace::generate(tcfg), cfg);
+  sim.run();
+  const std::string gp =
+      write_reputation_histogram_plot(sim.metrics(), dir.string(), "hist");
+  ASSERT_FALSE(gp.empty());
+  EXPECT_EQ(slurp((dir / "hist.dat").string()),
+            "# bucket_upper_edge sharers_count freeriders_count\n"
+            "-0.200000 0 4\n"
+            "-0.150000 0 7\n"
+            "-0.100000 0 4\n"
+            "0.000000 3 0\n"
+            "0.050000 1 0\n"
+            "0.200000 5 0\n"
+            "0.250000 2 0\n"
+            "0.300000 1 0\n"
+            "0.350000 1 0\n"
+            "0.450000 1 0\n"
+            "0.500000 1 0\n");
 }
 
 TEST_F(PlotFixture, UnwritableDirectoryReturnsEmpty) {

@@ -19,8 +19,7 @@ TEST(ObsExport, MetricsJsonEmptyRegistry) {
   const std::string json = metrics_json(r, p);
   EXPECT_EQ(json,
             "{\n  \"counters\": {},\n  \"gauges\": {},\n"
-            "  \"histograms\": {},\n  \"log_histograms\": {},\n"
-            "  \"profile\": {}\n}\n");
+            "  \"log_histograms\": {},\n  \"profile\": {}\n}\n");
 }
 
 TEST(ObsExport, MetricsJsonContainsAllKinds) {
@@ -28,9 +27,9 @@ TEST(ObsExport, MetricsJsonContainsAllKinds) {
   r.counter("b.count").inc(5);
   r.counter("a.count").inc(2);
   r.gauge("load").set(0.5);
-  Histogram& h = r.histogram("lat", {1.0, 2.0});
-  h.add(0.5);
-  h.add(9.0);
+  LogHistogram& h = r.log_histogram("lat", LogSpec::magnitude());
+  h.observe(1.0);  // bucket 1: [1, 1.125)
+  h.observe(9.0);  // bucket 26: [9, 10)
   Profiler p;
   p.set_enabled(true);
   { const ScopedTimer t(p.site("hot"), p); }
@@ -42,8 +41,9 @@ TEST(ObsExport, MetricsJsonContainsAllKinds) {
   ASSERT_NE(pos_b, std::string::npos);
   EXPECT_LT(pos_a, pos_b);
   EXPECT_NE(json.find("\"load\": 0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\": {\"upper_edges\": [1, 2], "
-                      "\"counts\": [1, 0, 1], \"total\": 2, \"sum\": 9.5}"),
+  EXPECT_NE(json.find("\"lat\": {\"buckets\": [[1, 1], [26, 1]], "
+                      "\"total\": 2, \"sum\": 10, \"p50\": 1.125, "
+                      "\"p90\": 10, \"p99\": 10, \"max\": 10}"),
             std::string::npos);
   EXPECT_NE(json.find("\"hot\": {\"calls\": 1, \"total_ns\": "),
             std::string::npos);
@@ -64,16 +64,18 @@ TEST(ObsExport, MetricsCsvRowsAndHistogramBuckets) {
   Registry r;
   r.counter("events").inc(3);
   r.gauge("load").set(1.5);
-  Histogram& h = r.histogram("lat", {1.0});
-  h.add(0.5);
-  h.add(2.0);
+  LogHistogram& h = r.log_histogram("lat", LogSpec::magnitude());
+  h.observe(1.0);
+  h.observe(9.0);
   const std::string csv = metrics_csv(r);
   EXPECT_EQ(csv,
             "name,kind,value\n"
             "events,counter,3\n"
             "load,gauge,1.5\n"
-            "lat[le=1],histogram,1\n"
-            "lat[le=inf],histogram,1\n");
+            "lat[bucket=1],log_histogram,1\n"
+            "lat[bucket=26],log_histogram,1\n"
+            "lat[p50],log_histogram,1.125\n"
+            "lat[p99],log_histogram,10\n");
 }
 
 TEST(ObsExport, ProfileReportListsSitesWithCalls) {

@@ -17,7 +17,8 @@ TEST(FlightRecorder, RingEvictsOldestInOrder) {
   t.set_ring_capacity(4);
   t.set_enabled(true);
   for (int i = 0; i < 6; ++i) {
-    t.instant("e" + std::to_string(i), "test", static_cast<double>(i));
+    t.instant(std::string("e").append(std::to_string(i)), "test",
+              static_cast<double>(i));
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped_events(), 2u);
@@ -50,14 +51,15 @@ TEST(FlightRecorder, UnboundedBufferKeepsEverythingChronological) {
   Tracer t;
   t.set_enabled(true);
   for (int i = 0; i < 8; ++i) {
-    t.instant("e" + std::to_string(i), "test", static_cast<double>(i));
+    t.instant(std::string("e").append(std::to_string(i)), "test",
+              static_cast<double>(i));
   }
   EXPECT_EQ(t.dropped_events(), 0u);
   const std::vector<TraceEvent> chron = t.chronological();
   ASSERT_EQ(chron.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(chron[static_cast<std::size_t>(i)].name,
-              "e" + std::to_string(i));
+              std::string("e").append(std::to_string(i)));
   }
 }
 

@@ -1,9 +1,9 @@
-// Debug-mode owning-thread checks on the serial-phase instruments (Gauge
-// and fixed-bucket Histogram): a pool worker — or any foreign thread —
-// touching one must fail fast instead of silently racing on its double
-// state. The checks ride BC_DASSERT, so they are live in Debug builds
-// (the `validate` preset) and compile out under NDEBUG; the release half
-// of this file asserts exactly that.
+// Debug-mode owning-thread checks: a pool worker — or any foreign thread —
+// touching a serial-phase Gauge, or an unsharded LogHistogram's base
+// state, must fail fast instead of silently racing. The checks ride
+// BC_DASSERT, so they are live in Debug builds (the `validate` preset) and
+// compile out under NDEBUG; the release half of this file asserts exactly
+// that.
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -34,16 +34,6 @@ TEST(ObsOwnerCheckDeathTest, GaugeTouchedFromForeignThreadDies) {
       {
         std::thread t([&g] { g.add(1.0); });
         t.join();
-      },
-      "BC_ASSERT failed");
-}
-
-TEST(ObsOwnerCheckDeathTest, HistogramAddInsidePoolChunkDies) {
-  Histogram h({1.0, 2.0});
-  EXPECT_DEATH(
-      {
-        const util::ShardSlotScope slot(2);
-        h.add(0.5);
       },
       "BC_ASSERT failed");
 }
