@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -41,8 +40,8 @@ class PrivateHistory {
 
   Bytes total_uploaded() const { return total_up_; }
   Bytes total_downloaded() const { return total_down_; }
-  std::size_t size() const { return entries_.size(); }
-  bool contains(PeerId remote) const { return entries_.contains(remote); }
+  std::size_t size() const { return size_; }
+  bool contains(PeerId remote) const { return find(remote) != nullptr; }
 
   /// The n peers with the highest upload *to the owner* (i.e. highest
   /// `downloaded`), the Nh selection of §3.4. Deterministic: ties break
@@ -53,17 +52,32 @@ class PrivateHistory {
   /// the lower peer id.
   std::vector<PeerId> most_recent(std::size_t n) const;
 
+  /// The deduplicated Nh + Nr selection of §3.4: the `nh` top uploaders,
+  /// then those of the `nr` most recently seen peers not already chosen.
+  /// The pointers are invalidated by any later record or touch.
+  std::vector<const HistoryEntry*> select(std::size_t nh,
+                                          std::size_t nr) const;
+
   /// Snapshot of all entries, sorted by peer id (deterministic across runs
   /// and standard-library implementations).
   std::vector<HistoryEntry> entries() const;
 
+  /// The entry for `remote`, or nullptr. Invalidated like select().
   const HistoryEntry* find(PeerId remote) const;
 
  private:
   HistoryEntry& entry(PeerId remote, Seconds now);
+  // The cell holding `remote`, else the free cell its probe ends at.
+  std::size_t slot_of(PeerId remote) const;
+  void grow();
 
   PeerId owner_;
-  std::unordered_map<PeerId, HistoryEntry> entries_;
+  // Entries in one flat open-addressed table keyed by peer (linear probing,
+  // at most 3/4 full; a cell whose peer is kInvalidPeer is free; entries
+  // are never removed). Selections scan the cells directly, so no result
+  // depends on hash-map iteration order, and a lookup is one probe run.
+  std::vector<HistoryEntry> cells_;  // power-of-two sized, or empty
+  std::size_t size_ = 0;
   Bytes total_up_ = 0;
   Bytes total_down_ = 0;
 };

@@ -1,26 +1,8 @@
 #include "bartercast/message.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace bc::bartercast {
-
-namespace {
-
-/// The deduplicated Nh + Nr peer selection of §3.4.
-std::vector<PeerId> select_peers(const PrivateHistory& history,
-                                 const MessageSelection& selection) {
-  std::vector<PeerId> peers = history.top_uploaders(selection.nh);
-  for (PeerId p : history.most_recent(selection.nr)) {
-    if (std::find(peers.begin(), peers.end(), p) == peers.end()) {
-      peers.push_back(p);
-    }
-  }
-  return peers;
-}
-
-}  // namespace
 
 BarterCastMessage build_message(const PrivateHistory& history,
                                 const MessageSelection& selection,
@@ -28,12 +10,13 @@ BarterCastMessage build_message(const PrivateHistory& history,
   BarterCastMessage msg;
   msg.sender = history.owner();
   msg.sent_at = now;
-  for (PeerId p : select_peers(history, selection)) {
-    const HistoryEntry* e = history.find(p);
-    BC_ASSERT(e != nullptr);
+  const std::vector<const HistoryEntry*> picked =
+      history.select(selection.nh, selection.nr);
+  msg.records.reserve(picked.size());
+  for (const HistoryEntry* e : picked) {
     BarterRecord r;
     r.subject = history.owner();
-    r.other = p;
+    r.other = e->peer;
     r.subject_to_other = e->uploaded;
     r.other_to_subject = e->downloaded;
     msg.records.push_back(r);

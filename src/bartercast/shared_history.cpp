@@ -56,22 +56,12 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
       ++stats.dropped_own_edge;
       continue;
     }
-    bool changed = false;
-    if (r.subject_to_other > 0) {
-      const Bytes current = graph_.capacity(r.subject, r.other);
-      if (r.subject_to_other > current) {
-        graph_.set_capacity(r.subject, r.other, r.subject_to_other);
-        changed = true;
-      }
-    }
-    if (r.other_to_subject > 0) {
-      const Bytes current = graph_.capacity(r.other, r.subject);
-      if (r.other_to_subject > current) {
-        graph_.set_capacity(r.other, r.subject, r.other_to_subject);
-        changed = true;
-      }
-    }
-    if (changed) {
+    // Max-merge: a record only ever raises an edge (cumulative counters).
+    const bool raised_fwd =
+        graph_.raise_capacity(r.subject, r.other, r.subject_to_other);
+    const bool raised_back =
+        graph_.raise_capacity(r.other, r.subject, r.other_to_subject);
+    if (raised_fwd || raised_back) {
       ++version_;
       // A remote edge (subject, other) is incident to exactly those two
       // peers, so they are the only subjects whose two-hop reputation

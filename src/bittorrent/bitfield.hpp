@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -41,6 +42,31 @@ class Bitfield {
     word |= mask;
     ++count_;
     return true;
+  }
+
+  /// Clears the piece; returns true if it was set (a repeat is a no-op).
+  bool reset(int piece) {
+    BC_ASSERT(piece >= 0 && piece < size_);
+    auto& word = words_[static_cast<std::size_t>(piece) / 64];
+    const std::uint64_t mask = std::uint64_t{1}
+                               << (static_cast<std::size_t>(piece) % 64);
+    if (!(word & mask)) return false;
+    word &= ~mask;
+    --count_;
+    return true;
+  }
+
+  /// The packed bits, piece p at bit p % 64 of word p / 64. Bits past
+  /// size() are always clear.
+  std::span<const std::uint64_t> words() const { return words_; }
+
+  /// True when both fields hold at least one common piece.
+  bool intersects(const Bitfield& other) const {
+    BC_ASSERT(other.size_ == size_);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if (other.words_[w] & words_[w]) return true;
+    }
+    return false;
   }
 
   /// True when the other peer has at least one piece this field lacks.

@@ -11,7 +11,6 @@
 
 #include <optional>
 #include <span>
-#include <unordered_set>
 
 #include "bittorrent/bitfield.hpp"
 #include "util/assert.hpp"
@@ -45,7 +44,7 @@ struct PickRequest {
   const Bitfield* theirs = nullptr;  // uploader's pieces
   const Availability* availability = nullptr;
   /// Pieces the downloader is already fetching on other connections.
-  const std::unordered_set<int>* in_flight = nullptr;
+  const Bitfield* in_flight = nullptr;
   /// Below this piece count the downloader picks uniformly at random
   /// (random-first bootstrap). 4 is the conventional value.
   int random_first_threshold = 4;

@@ -12,7 +12,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bittorrent/bitfield.hpp"
@@ -73,13 +72,14 @@ class Swarm {
   std::function<void(PeerId)> on_complete;
 
   /// Internal consistency: availability matches bitfields; in-flight pieces
-  /// are not owned; link endpoints are members.
+  /// are not owned and each link's piece is in flight; link endpoints are
+  /// members.
   bool check_invariants() const;
 
  private:
   struct Member {
     Bitfield have;
-    std::unordered_set<int> in_flight;  // pieces being fetched (any link)
+    Bitfield in_flight;  // pieces being fetched (any link)
     bool completed_fired = false;
   };
 

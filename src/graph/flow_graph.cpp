@@ -103,6 +103,28 @@ void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
   caps_.insert_or_assign(fi, to, amount);
 }
 
+bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
+  BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
+  if (amount <= 0) return false;
+  const NodeIndex fi = touch(from);
+  const auto [cap, inserted] = caps_.find_or_insert(fi, to, amount);
+  if (!inserted) {
+    if (amount <= *cap) return false;
+    *cap = amount;
+    adj_lower_bound(out_[fi], to)->cap = amount;
+    adj_lower_bound(in_[index_.find(to)], from)->cap = amount;
+    return true;
+  }
+  const NodeIndex ti = touch(to);
+  auto& adj = out_[fi];
+  adj.insert(adj_lower_bound(adj, to), Edge{to, amount});
+  auto& mirror = in_[ti];
+  mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
+  ++num_edges_;
+  ++gen_;
+  return true;
+}
+
 Bytes FlowGraph::capacity(PeerId from, PeerId to) const {
   const NodeIndex fi = index_.find(from);
   if (fi == kNoNode) return 0;

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/peer_index.hpp"
@@ -133,6 +134,13 @@ class FlowGraph {
   /// Replaces the capacity of edge (from, to). A value of 0 removes the edge.
   void set_capacity(PeerId from, PeerId to, Bytes amount);
 
+  /// Max-merge: raises the capacity of (from, to) to `amount` when that
+  /// exceeds the current one (0 for an absent edge), creating nodes and the
+  /// edge as needed; otherwise changes nothing, so a non-positive amount is
+  /// always a no-op. Returns whether it wrote. One sidecar probe decides,
+  /// so the common no-change case never touches the adjacency arrays.
+  bool raise_capacity(PeerId from, PeerId to, Bytes amount);
+
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
 
@@ -205,28 +213,29 @@ class FlowGraph {
    public:
     const Bytes* find(NodeIndex from, PeerId to) const {
       if (cells_.empty()) return nullptr;
+      const Cell& c = cells_[probe(key_of(from, to))];
+      return c.key == kEmpty ? nullptr : &c.cap;
+    }
+
+    /// The capacity cell of (from, to) and whether it was just inserted
+    /// (holding `cap`); an existing cell is left as it is. Only an insert
+    /// can grow the table. The pointer is valid until the next insertion.
+    std::pair<Bytes*, bool> find_or_insert(NodeIndex from, PeerId to,
+                                           Bytes cap) {
       const std::uint64_t key = key_of(from, to);
-      std::size_t i = hash_of(key) & mask_;
-      while (cells_[i].key != kEmpty) {
-        if (cells_[i].key == key) return &cells_[i].cap;
-        i = (i + 1) & mask_;
+      if (!cells_.empty()) {
+        Cell& c = cells_[probe(key)];
+        if (c.key == key) return {&c.cap, false};
       }
-      return nullptr;
+      if ((size_ + 1) * 4 > cells_.size() * 3) grow();
+      Cell& c = cells_[probe(key)];
+      c = Cell{key, cap};
+      ++size_;
+      return {&c.cap, true};
     }
 
     void insert_or_assign(NodeIndex from, PeerId to, Bytes cap) {
-      if ((size_ + 1) * 4 > cells_.size() * 3) grow();
-      const std::uint64_t key = key_of(from, to);
-      std::size_t i = hash_of(key) & mask_;
-      while (cells_[i].key != kEmpty) {
-        if (cells_[i].key == key) {
-          cells_[i].cap = cap;
-          return;
-        }
-        i = (i + 1) & mask_;
-      }
-      cells_[i] = Cell{key, cap};
-      ++size_;
+      *find_or_insert(from, to, cap).first = cap;
     }
 
     void erase(NodeIndex from, PeerId to) {
@@ -284,16 +293,22 @@ class FlowGraph {
       return static_cast<std::size_t>(x ^ (x >> 31));
     }
 
+    // The cell holding `key`, else the free cell its probe run ends at.
+    std::size_t probe(std::uint64_t key) const {
+      std::size_t i = hash_of(key) & mask_;
+      while (cells_[i].key != kEmpty && cells_[i].key != key) {
+        i = (i + 1) & mask_;
+      }
+      return i;
+    }
+
     void grow() {
       std::vector<Cell> old = std::move(cells_);
       const std::size_t n = old.empty() ? 16 : old.size() * 2;
       cells_.assign(n, Cell{kEmpty, 0});
       mask_ = n - 1;
       for (const Cell& c : old) {
-        if (c.key == kEmpty) continue;
-        std::size_t i = hash_of(c.key) & mask_;
-        while (cells_[i].key != kEmpty) i = (i + 1) & mask_;
-        cells_[i] = c;
+        if (c.key != kEmpty) cells_[probe(c.key)] = c;
       }
     }
 

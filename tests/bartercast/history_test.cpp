@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "bartercast/message.hpp"
+#include "util/rng.hpp"
+
 namespace bc::bartercast {
 namespace {
 
@@ -97,6 +103,113 @@ TEST(PrivateHistory, EntriesAreSortedByPeerId) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(entries[i].peer, expected[i]);
   }
+}
+
+// Full-sort reference for the §3.4 selections: order every entry, keep the
+// first n. The history's bounded top-n pass must agree with it exactly.
+std::vector<PeerId> reference_top(const PrivateHistory& h, std::size_t n,
+                                  bool by_upload) {
+  std::vector<HistoryEntry> all = h.entries();
+  std::sort(all.begin(), all.end(),
+            [&](const HistoryEntry& a, const HistoryEntry& b) {
+              if (by_upload) {
+                if (a.downloaded != b.downloaded) {
+                  return a.downloaded > b.downloaded;
+                }
+              } else if (a.last_seen != b.last_seen) {
+                return a.last_seen > b.last_seen;
+              }
+              return a.peer < b.peer;
+            });
+  std::vector<PeerId> out;
+  for (std::size_t i = 0; i < all.size() && i < n; ++i) {
+    out.push_back(all[i].peer);
+  }
+  return out;
+}
+
+BarterCastMessage reference_message(const PrivateHistory& h, std::size_t nh,
+                                    std::size_t nr) {
+  std::vector<PeerId> peers = reference_top(h, nh, /*by_upload=*/true);
+  for (PeerId p : reference_top(h, nr, /*by_upload=*/false)) {
+    if (std::find(peers.begin(), peers.end(), p) == peers.end()) {
+      peers.push_back(p);
+    }
+  }
+  BarterCastMessage msg;
+  msg.sender = h.owner();
+  for (PeerId p : peers) {
+    msg.records.push_back(
+        BarterRecord{h.owner(), p, h.uploaded_to(p), h.downloaded_from(p)});
+  }
+  return msg;
+}
+
+// A random history over `peers` remote peers whose amounts and timestamps
+// come from small sets, so `downloaded` and `last_seen` tie often.
+PrivateHistory random_history(Rng& rng, int peers, int ops) {
+  PrivateHistory h(0);
+  for (int i = 0; i < ops; ++i) {
+    const auto remote = static_cast<PeerId>(rng.uniform_int(1, peers));
+    const Bytes amount = 10 * rng.uniform_int(0, 3);
+    const Seconds now = static_cast<double>(rng.uniform_int(0, 4));
+    switch (rng.uniform_int(0, 2)) {
+      case 0: h.record_upload(remote, amount, now); break;
+      case 1: h.record_download(remote, amount, now); break;
+      default: h.touch(remote, now); break;
+    }
+  }
+  return h;
+}
+
+TEST(PrivateHistorySelection, MatchesFullSortReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    const int peers = static_cast<int>(rng.uniform_int(1, 40));
+    const PrivateHistory h =
+        random_history(rng, peers, static_cast<int>(rng.uniform_int(1, 120)));
+    const std::size_t size = h.size();
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{10},
+                          size, size + 3}) {
+      EXPECT_EQ(h.top_uploaders(n), reference_top(h, n, true)) << n;
+      EXPECT_EQ(h.most_recent(n), reference_top(h, n, false)) << n;
+    }
+    for (std::size_t nh : {std::size_t{0}, std::size_t{1}, std::size_t{10}}) {
+      for (std::size_t nr : {std::size_t{0}, std::size_t{10}, size}) {
+        const BarterCastMessage built =
+            build_message(h, MessageSelection{nh, nr}, 0.0);
+        EXPECT_EQ(built.records, reference_message(h, nh, nr).records)
+            << nh << " " << nr;
+      }
+    }
+    const std::vector<HistoryEntry> entries = h.entries();
+    ASSERT_EQ(entries.size(), size);
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_LT(entries[i - 1].peer, entries[i].peer);
+    }
+  }
+}
+
+TEST(PrivateHistory, LookupsSurviveGrowthWithSparseIds) {
+  // Ids spread over the whole 32-bit range, including the largest valid
+  // one, and enough of them to grow the entry table many times.
+  PrivateHistory h(0);
+  std::vector<PeerId> ids{kInvalidPeer - 1};
+  for (std::uint64_t i = 1; i < 3000; ++i) {
+    ids.push_back(static_cast<PeerId>(i * 2654435761u % kInvalidPeer));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    h.record_download(ids[i], static_cast<Bytes>(i + 1), 1.0);
+  }
+  EXPECT_EQ(h.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(h.contains(ids[i])) << ids[i];
+    EXPECT_EQ(h.downloaded_from(ids[i]), static_cast<Bytes>(i + 1));
+  }
+  EXPECT_FALSE(h.contains(kInvalidPeer));
+  EXPECT_FALSE(h.contains(7));
+  EXPECT_EQ(h.top_uploaders(2), (std::vector<PeerId>{ids.back(),
+                                                     ids[ids.size() - 2]}));
 }
 
 TEST(PrivateHistoryDeathTest, OwnerEntryRejected) {

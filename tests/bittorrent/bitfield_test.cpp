@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace bc::bt {
 namespace {
 
@@ -69,10 +71,59 @@ TEST(Bitfield, SeedNotInterestedInAnyone) {
   EXPECT_TRUE(leecher.is_interesting(seed));
 }
 
+TEST(Bitfield, ResetReturnsWhetherSetAndKeepsCount) {
+  Bitfield b(70);
+  b.set(3);
+  b.set(64);
+  b.set(69);
+  EXPECT_TRUE(b.reset(64));
+  EXPECT_EQ(b.count(), 2);
+  EXPECT_FALSE(b.get(64));
+  EXPECT_FALSE(b.reset(64));  // a second reset is a no-op
+  EXPECT_EQ(b.count(), 2);
+  EXPECT_FALSE(b.reset(5));  // never set
+  EXPECT_EQ(b.count(), 2);
+  EXPECT_TRUE(b.get(3));
+  EXPECT_TRUE(b.get(69));
+}
+
+TEST(Bitfield, ResetUndoesFilled) {
+  Bitfield b(65, /*filled=*/true);
+  EXPECT_TRUE(b.reset(0));
+  EXPECT_TRUE(b.reset(64));
+  EXPECT_EQ(b.count(), 63);
+  EXPECT_FALSE(b.complete());
+  EXPECT_TRUE(b.set(64));
+  EXPECT_EQ(b.count(), 64);
+}
+
+TEST(Bitfield, WordsHoldPackedBitsWithCleanTail) {
+  Bitfield b(65, /*filled=*/true);
+  ASSERT_EQ(b.words().size(), 2u);
+  EXPECT_EQ(b.words()[0], ~std::uint64_t{0});
+  EXPECT_EQ(b.words()[1], std::uint64_t{1});
+}
+
+TEST(Bitfield, IntersectsDetectsCommonPiece) {
+  Bitfield a(100), b(100);
+  EXPECT_FALSE(a.intersects(b));
+  a.set(70);
+  b.set(71);
+  EXPECT_FALSE(a.intersects(b));
+  b.set(70);
+  EXPECT_TRUE(a.intersects(b));
+  EXPECT_TRUE(b.intersects(a));
+}
+
 TEST(BitfieldDeathTest, OutOfRange) {
   Bitfield b(4);
   EXPECT_DEATH(b.get(4), "piece");
   EXPECT_DEATH(b.set(-1), "piece");
+}
+
+TEST(BitfieldDeathTest, ResetOutOfRange) {
+  Bitfield b(4);
+  EXPECT_DEATH(b.reset(4), "piece");
 }
 
 }  // namespace

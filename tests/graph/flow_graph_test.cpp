@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+
+#include "util/rng.hpp"
 
 namespace bc::graph {
 namespace {
@@ -195,6 +198,91 @@ TEST(FlowGraph, ClearResetsIndexForReuse) {
   EXPECT_EQ(g.capacity(4, 2), 0);
   EXPECT_EQ(g.capacity(9, 4), 3);
   EXPECT_TRUE(g.check_invariants());
+}
+
+TEST(FlowGraph, RaiseCapacityIgnoresLowerOrEqual) {
+  FlowGraph g;
+  g.add_capacity(1, 2, 100);
+  const std::uint64_t gen = g.generation();
+  EXPECT_FALSE(g.raise_capacity(1, 2, 100));
+  EXPECT_FALSE(g.raise_capacity(1, 2, 40));
+  EXPECT_FALSE(g.raise_capacity(1, 2, 0));
+  EXPECT_FALSE(g.raise_capacity(1, 2, -7));
+  EXPECT_EQ(g.capacity(1, 2), 100);
+  EXPECT_EQ(g.generation(), gen);
+  EXPECT_TRUE(g.check_invariants());
+}
+
+TEST(FlowGraph, RaiseCapacityUpdatesEveryView) {
+  FlowGraph g;
+  g.add_capacity(1, 2, 100);
+  g.add_capacity(3, 2, 5);
+  const std::uint64_t gen = g.generation();
+  EXPECT_TRUE(g.raise_capacity(1, 2, 250));
+  EXPECT_EQ(g.capacity(1, 2), 250);
+  ASSERT_EQ(g.out_edges(1).size(), 1u);
+  EXPECT_EQ(g.out_edges(1)[0], (Edge{2, 250}));
+  ASSERT_EQ(g.in_edges(2).size(), 2u);
+  EXPECT_EQ(g.in_edges(2)[0], (Edge{1, 250}));
+  EXPECT_EQ(g.in_edges(2)[1], (Edge{3, 5}));
+  EXPECT_EQ(g.generation(), gen);  // content update, no structural change
+  EXPECT_TRUE(g.check_invariants());
+}
+
+TEST(FlowGraph, RaiseCapacityCreatesEdge) {
+  FlowGraph g;
+  const std::uint64_t gen = g.generation();
+  EXPECT_TRUE(g.raise_capacity(4, 9, 30));
+  EXPECT_EQ(g.num_nodes(), 2u);
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.capacity(4, 9), 30);
+  EXPECT_GT(g.generation(), gen);
+  // A no-op raise on absent nodes creates nothing.
+  EXPECT_FALSE(g.raise_capacity(5, 6, 0));
+  EXPECT_FALSE(g.has_node(5));
+  EXPECT_FALSE(g.has_node(6));
+  EXPECT_TRUE(g.check_invariants());
+}
+
+TEST(FlowGraph, RaiseCapacityMatchesProbeThenSet) {
+  // Reference: the capacity() + set_capacity() pair raise_capacity
+  // replaces. Both graphs see the same stream, with edge removals and
+  // node churn mixed in so raises also land on recycled slots.
+  Rng rng(7);
+  FlowGraph fast;
+  FlowGraph ref;
+  for (int step = 0; step < 4000; ++step) {
+    const auto from = static_cast<PeerId>(rng.uniform_int(0, 15));
+    auto to = static_cast<PeerId>(rng.uniform_int(0, 14));
+    if (to >= from) ++to;
+    const auto op = rng.uniform_int(0, 19);
+    if (op == 0) {
+      fast.set_capacity(from, to, 0);
+      ref.set_capacity(from, to, 0);
+    } else if (op == 1) {
+      fast.remove_node(from);
+      ref.remove_node(from);
+    } else {
+      const Bytes amount = 10 * rng.uniform_int(-1, 12);
+      bool changed = false;
+      if (amount > ref.capacity(from, to)) {
+        ref.set_capacity(from, to, amount);
+        changed = true;
+      }
+      ASSERT_EQ(fast.raise_capacity(from, to, amount), changed) << step;
+    }
+    ASSERT_EQ(fast.generation(), ref.generation()) << step;
+  }
+  ASSERT_TRUE(fast.check_invariants());
+  EXPECT_EQ(fast.nodes(), ref.nodes());
+  EXPECT_EQ(fast.num_edges(), ref.num_edges());
+  for (PeerId n : ref.nodes()) {
+    EXPECT_EQ(fast.index().find(n), ref.index().find(n)) << n;
+    const EdgeView fo = fast.out_edges(n), ro = ref.out_edges(n);
+    EXPECT_TRUE(std::equal(fo.begin(), fo.end(), ro.begin(), ro.end())) << n;
+    const EdgeView fi = fast.in_edges(n), ri = ref.in_edges(n);
+    EXPECT_TRUE(std::equal(fi.begin(), fi.end(), ri.begin(), ri.end())) << n;
+  }
 }
 
 TEST(FlowGraphDeathTest, SelfEdgeRejected) {
