@@ -4,7 +4,7 @@
 // one maxflow evaluation on a subjective graph is the mechanism's hot path.
 // This bench quantifies why the paper's path-length-2 restriction matters:
 // the closed-form two-hop flow is orders of magnitude cheaper than full
-// Ford-Fulkerson and nearly free compared to Edmonds-Karp.
+// Ford-Fulkerson.
 #include <benchmark/benchmark.h>
 
 #include "graph/flow_graph.hpp"
@@ -54,14 +54,6 @@ void BM_FullFordFulkerson(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFordFulkerson)->Arg(50)->Arg(100);
-
-void BM_EdmondsKarp(benchmark::State& state) {
-  const auto g = make_graph(static_cast<std::size_t>(state.range(0)), 8, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::max_flow_edmonds_karp(g, 1, 0));
-  }
-}
-BENCHMARK(BM_EdmondsKarp)->Arg(100)->Arg(300);
 
 // Graph mutation throughput: the shared history applies gossip records
 // continuously; edge upserts must stay cheap.

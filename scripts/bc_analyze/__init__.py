@@ -37,8 +37,8 @@ Rule catalogue (see DESIGN.md section 9):
                           in its destructor
   G1 dense-index-leak     no graph::PeerIndex / NodeIndex / kNoNode (or
                           includes of graph/peer_index.hpp) outside
-                          src/graph/: dense slots are recycled on
-                          remove_node() and are not stable peer
+                          src/graph/: dense slots are per graph
+                          (first-touch order) and are not peer
                           identifiers; consumers use the PeerId API
   D4 determinism-taint    interprocedural: no call-graph path from a
                           nondeterminism source (surviving D1/D2/D3

@@ -1,11 +1,13 @@
 """Graph-core encapsulation rule G1.
 
 G1 dense-index-leak: the graph module interns PeerIds to dense NodeIndex
-   slots for vector-addressed adjacency. Slot numbers are not stable
-   identifiers — remove_node() frees them for reuse by a *different* peer —
-   so any NodeIndex that escapes src/graph/ (into gossip, reputation
-   bookkeeping, serialized state, ...) is a correctness bug waiting for the
-   first churn event. Consumers must stay on the PeerId API of FlowGraph.
+   slots for vector-addressed adjacency. Slot numbers are not peer
+   identifiers — each graph hands them out in its own first-touch order, so
+   the same slot names a *different* peer in another peer's graph — and
+   any NodeIndex that escapes src/graph/ (into gossip, reputation
+   bookkeeping, serialized state, ...) is a correctness bug waiting for
+   the first cross-graph use. Consumers must stay on the PeerId API of
+   FlowGraph.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def check_g1(sf: SourceFile) -> list[Finding]:
             out.append(Finding(
                 rule="G1", slug="dense-index-leak", path=sf.rel, line=lineno,
                 message=(f"dense graph internal `{m.group(1)}` outside"
-                         " src/graph/: NodeIndex slots are recycled on"
-                         " remove_node() and are not stable peer"
+                         " src/graph/: NodeIndex slots are per graph"
+                         " (first-touch order) and are not peer"
                          " identifiers; use the PeerId API of FlowGraph"),
             ))
     return out

@@ -779,6 +779,10 @@ void CommunitySimulator::run() {
   check::ScopedAudit audit_hook(
       "community.run", [this](check::Report& report) { audit(report); });
   engine_.run_until(trace_.duration);
+  // Audit before finalize(): the audit's own maxflow queries move registry
+  // instruments, and finalize() emits the metrics stream's last window.
+  audit_hook.check_now();
+  audit_hook.dismiss();
   finalize();
   BC_DASSERT(std::all_of(swarms_.begin(), swarms_.end(), [](const auto& c) {
     return c->swarm.check_invariants();

@@ -30,22 +30,31 @@ const Edge* adj_find(const std::vector<Edge>& adj, PeerId peer) {
   return it != adj.end() && it->peer == peer ? &*it : nullptr;
 }
 
-/// Removes the entry for `peer`; the entry must exist.
-void adj_erase(std::vector<Edge>& adj, PeerId peer) {
-  auto it = adj_lower_bound(adj, peer);
-  BC_DASSERT(it != adj.end() && it->peer == peer);
-  adj.erase(it);
-}
-
 }  // namespace
 
 NodeIndex FlowGraph::touch(PeerId node) {
   const NodeIndex slot = index_.intern(node);
-  if (slot >= out_.size()) {
-    out_.resize(index_.slot_count());
-    in_.resize(index_.slot_count());
+  if (slot == out_.size()) {  // first touch: slots are handed out in order
+    out_.emplace_back();
+    in_.emplace_back();
   }
   return slot;
+}
+
+void FlowGraph::insert_edge(NodeIndex fi, NodeIndex ti, PeerId from,
+                            PeerId to, Bytes cap) {
+  auto& adj = out_[fi];
+  adj.insert(adj_lower_bound(adj, to), Edge{to, cap});
+  auto& mirror = in_[ti];
+  mirror.insert(adj_lower_bound(mirror, from), Edge{from, cap});
+  ++num_edges_;
+  ++gen_;
+}
+
+void FlowGraph::update_edge(NodeIndex fi, NodeIndex ti, PeerId from,
+                            PeerId to, Bytes cap) {
+  adj_lower_bound(out_[fi], to)->cap = cap;
+  adj_lower_bound(in_[ti], from)->cap = cap;
 }
 
 void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
@@ -54,53 +63,15 @@ void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   const NodeIndex fi = touch(from);
   const NodeIndex ti = touch(to);
   if (amount == 0) return;
-  auto& adj = out_[fi];
-  auto it = adj_lower_bound(adj, to);
-  if (it != adj.end() && it->peer == to) {
-    // Gossiped capacities are attacker-influenced: saturate rather than
-    // trust the remote ledger to stay inside int64.
-    it->cap = util::saturating_add(it->cap, amount);
-    adj_lower_bound(in_[ti], from)->cap = it->cap;
-    caps_.insert_or_assign(fi, to, it->cap);
-  } else {
-    adj.insert(it, Edge{to, amount});
-    auto& mirror = in_[ti];
-    mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-    caps_.insert_or_assign(fi, to, amount);
-    ++num_edges_;
-    ++gen_;
-  }
-}
-
-void FlowGraph::set_capacity(PeerId from, PeerId to, Bytes amount) {
-  BC_ASSERT(amount >= 0);
-  BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
-  const NodeIndex fi = touch(from);
-  const NodeIndex ti = touch(to);
-  auto& adj = out_[fi];
-  auto it = adj_lower_bound(adj, to);
-  const bool present = it != adj.end() && it->peer == to;
-  if (amount == 0) {
-    if (present) {
-      adj.erase(it);
-      adj_erase(in_[ti], from);
-      caps_.erase(fi, to);
-      --num_edges_;
-      ++gen_;
-    }
+  const auto [cap, inserted] = caps_.find_or_insert(fi, to, amount);
+  if (inserted) {
+    insert_edge(fi, ti, from, to, amount);
     return;
   }
-  if (present) {
-    it->cap = amount;
-    adj_lower_bound(in_[ti], from)->cap = amount;
-  } else {
-    adj.insert(it, Edge{to, amount});
-    auto& mirror = in_[ti];
-    mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-    ++num_edges_;
-    ++gen_;
-  }
-  caps_.insert_or_assign(fi, to, amount);
+  // Gossiped capacities are attacker-influenced: saturate rather than
+  // trust the remote ledger to stay inside int64.
+  *cap = util::saturating_add(*cap, amount);
+  update_edge(fi, ti, from, to, *cap);
 }
 
 bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
@@ -108,20 +79,13 @@ bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
   if (amount <= 0) return false;
   const NodeIndex fi = touch(from);
   const auto [cap, inserted] = caps_.find_or_insert(fi, to, amount);
-  if (!inserted) {
-    if (amount <= *cap) return false;
-    *cap = amount;
-    adj_lower_bound(out_[fi], to)->cap = amount;
-    adj_lower_bound(in_[index_.find(to)], from)->cap = amount;
+  if (inserted) {
+    insert_edge(fi, touch(to), from, to, amount);
     return true;
   }
-  const NodeIndex ti = touch(to);
-  auto& adj = out_[fi];
-  adj.insert(adj_lower_bound(adj, to), Edge{to, amount});
-  auto& mirror = in_[ti];
-  mirror.insert(adj_lower_bound(mirror, from), Edge{from, amount});
-  ++num_edges_;
-  ++gen_;
+  if (amount <= *cap) return false;
+  *cap = amount;
+  update_edge(fi, index_.find(to), from, to, amount);
   return true;
 }
 
@@ -183,42 +147,11 @@ Bytes FlowGraph::total_capacity() const {
   return total;
 }
 
-void FlowGraph::remove_node(PeerId node) {
-  const NodeIndex slot = index_.find(node);
-  if (slot == kNoNode) return;
-  // Drop outgoing edges and their reverse index entries.
-  for (const Edge& e : out_[slot]) {
-    adj_erase(in_[index_.find(e.peer)], node);
-    caps_.erase(slot, e.peer);
-    --num_edges_;
-  }
-  // Drop incoming edges.
-  for (const Edge& e : in_[slot]) {
-    adj_erase(out_[index_.find(e.peer)], node);
-    caps_.erase(index_.find(e.peer), node);
-    --num_edges_;
-  }
-  out_[slot].clear();
-  out_[slot].shrink_to_fit();
-  in_[slot].clear();
-  in_[slot].shrink_to_fit();
-  index_.erase(node);
-  ++gen_;
-}
-
-void FlowGraph::clear() {
-  index_.clear();
-  out_.clear();
-  in_.clear();
-  caps_.clear();
-  num_edges_ = 0;
-  ++gen_;
-}
-
 bool FlowGraph::check_invariants() const {
   if (!index_.check_invariants()) return false;
-  if (out_.size() != in_.size()) return false;
-  if (out_.size() > index_.slot_count()) return false;
+  if (out_.size() != index_.size() || in_.size() != index_.size()) {
+    return false;
+  }
   auto sorted_positive = [](const std::vector<Edge>& adj) {
     for (std::size_t i = 0; i < adj.size(); ++i) {
       if (adj[i].cap <= 0) return false;
@@ -229,11 +162,6 @@ bool FlowGraph::check_invariants() const {
   std::size_t edges = 0;
   for (NodeIndex slot = 0; slot < out_.size(); ++slot) {
     const PeerId id = index_.peer(slot);
-    if (id == kInvalidPeer) {
-      // Free slot: must hold no adjacency.
-      if (!out_[slot].empty() || !in_[slot].empty()) return false;
-      continue;
-    }
     if (!sorted_positive(out_[slot]) || !sorted_positive(in_[slot])) {
       return false;
     }

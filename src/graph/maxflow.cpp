@@ -91,8 +91,6 @@ class Residual {
 struct SearchScratch {
   std::vector<char> visited;
   std::vector<PeerId> path;
-  std::vector<PeerId> parent;
-  std::vector<PeerId> queue;  // BFS FIFO: a cursor chases push_backs
   std::deque<std::vector<std::pair<PeerId, Bytes>>> frontier;
 };
 
@@ -146,9 +144,9 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
   SearchScratch& scratch = search_scratch();
   std::vector<char>& visited = scratch.visited;
   std::vector<PeerId>& path = scratch.path;
-  path.reserve(g.index().slot_count() + 1);
+  path.reserve(g.index().size() + 1);
   for (;;) {
-    visited.assign(g.index().slot_count(), 0);
+    visited.assign(g.index().size(), 0);
     path.clear();
     path.push_back(s);
     // bc-analyze: allow(P1) -- dfs candidate lists are per-depth scratch in
@@ -172,58 +170,6 @@ Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
     static obs::Counter& augmentations =
         obs::Registry::instance().counter("maxflow.augmenting_paths");
     augmentations.inc();
-  }
-  return flow;
-}
-
-Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t) {
-  BC_OBS_SCOPE("maxflow.edmonds_karp");
-  if (s == t || !g.has_node(s) || !g.has_node(t)) return 0;
-  Residual res(g);
-  Bytes flow = 0;
-  SearchScratch& scratch = search_scratch();
-  std::vector<PeerId>& parent = scratch.parent;
-  std::vector<PeerId>& queue = scratch.queue;
-  queue.reserve(g.index().slot_count());
-  for (;;) {
-    // BFS for the shortest augmenting path. The parent table is a dense
-    // slot-indexed array: parent[slot(v)] is the BFS predecessor of v, or
-    // kInvalidPeer while v is undiscovered. The FIFO is the reusable
-    // `queue` buffer with a cursor instead of pop_front: same visit order,
-    // no per-round deque churn.
-    parent.assign(g.index().slot_count(), kInvalidPeer);
-    parent[g.index().find(s)] = s;
-    queue.clear();
-    queue.push_back(s);
-    std::size_t cursor = 0;
-    bool reached = false;
-    while (cursor < queue.size() && !reached) {
-      const PeerId u = queue[cursor++];
-      res.for_each_residual_edge(u, [&](PeerId v, Bytes) {
-        if (reached) return;
-        PeerId& p = parent[g.index().find(v)];
-        if (p != kInvalidPeer) return;
-        p = u;
-        if (v == t) {
-          reached = true;
-          return;
-        }
-        queue.push_back(v);
-      });
-    }
-    if (!reached) break;
-    Bytes bottleneck = 0;
-    for (PeerId v = t; v != s; v = parent[g.index().find(v)]) {
-      const Bytes r = res.residual(parent[g.index().find(v)], v);
-      bottleneck = bottleneck == 0 ? r : std::min(bottleneck, r);
-    }
-    BC_ASSERT(bottleneck > 0);
-    for (PeerId v = t; v != s;) {
-      const PeerId u = parent[g.index().find(v)];
-      res.augment(u, v, bottleneck);
-      v = u;
-    }
-    flow = util::saturating_add(flow, bottleneck);
   }
   return flow;
 }

@@ -1,14 +1,12 @@
 // Maximum-flow computations over a FlowGraph.
 //
-// Three variants are provided:
+// Two variants are provided:
 //
 //  * max_flow_ford_fulkerson: the paper's Algorithm 1 (DFS augmenting paths
 //    on the residual network), optionally with a bound on the number of
 //    edges in an augmenting path. With the bound set to 2 this matches the
 //    BarterCast implementation restriction "only regards paths with a
 //    maximum length of two" (paper §3.2).
-//  * max_flow_edmonds_karp: BFS (shortest augmenting path) reference
-//    implementation, used to cross-check Ford-Fulkerson in tests.
 //  * max_flow_two_hop: closed-form two-hop maxflow. Paths of length <= 2
 //    between distinct s and t are pairwise edge-disjoint, so the maximum is
 //    exactly c(s,t) + sum_v min(c(s,v), c(v,t)), computed as a linear
@@ -37,10 +35,6 @@ inline constexpr int kUnboundedPathLength = -1;
 /// Returns 0 if s == t or either endpoint is unknown.
 Bytes max_flow_ford_fulkerson(const FlowGraph& g, PeerId s, PeerId t,
                               int max_path_edges = kUnboundedPathLength);
-
-/// Edmonds-Karp (BFS augmenting paths). Same result as unbounded
-/// Ford-Fulkerson; O(V * E^2) worst case.
-Bytes max_flow_edmonds_karp(const FlowGraph& g, PeerId s, PeerId t);
 
 /// Exact maximum flow over paths of at most two edges:
 /// c(s,t) + sum over v of min(c(s,v), c(v,t)).

@@ -4,13 +4,13 @@
 // FlowGraph addresses its vertex tables with NodeIndex — a dense u32 slot
 // number — so adjacency, visited sets, and residual bookkeeping are plain
 // vectors instead of hash maps. PeerIndex owns the PeerId <-> NodeIndex
-// bijection. Slots freed by remove_node() are recycled smallest-first, so
-// the slot table stays compact under churn and the assignment depends only
-// on the operation sequence (deterministic across runs and standard
-// libraries).
+// bijection. It is append-only, like the graph it serves: a peer gets the
+// next free slot on first touch and keeps it for the life of the index, so
+// the assignment depends only on the order peers were first seen
+// (deterministic across runs and standard libraries).
 //
 // NodeIndex values are an implementation detail of src/graph/: they are
-// not stable identifiers (a freed slot is reassigned to a different peer)
+// per graph (the same peer sits at different slots in different graphs)
 // and must never leak into gossip, reputation, or serialized output.
 // bc-analyze rule G1 flags any use of this header outside src/graph/.
 #pragma once
@@ -26,54 +26,44 @@
 namespace bc::graph {
 
 /// Dense slot number of a peer inside one FlowGraph. Valid only for the
-/// graph that issued it, and only until that peer is removed.
+/// graph that issued it.
 using NodeIndex = std::uint32_t;
 
 inline constexpr NodeIndex kNoNode = std::numeric_limits<NodeIndex>::max();
 
 class PeerIndex {
  public:
-  /// Slot of `id`, creating one if absent. Freed slots are recycled
-  /// smallest-first before the table grows.
+  /// Slot of `id`, appending a new slot if the peer was never interned.
   NodeIndex intern(PeerId id);
 
-  /// Slot of `id`, or kNoNode if the peer was never interned (or erased).
+  /// Slot of `id`, or kNoNode if the peer was never interned.
   NodeIndex find(PeerId id) const {
     auto it = index_of_.find(id);
     return it == index_of_.end() ? kNoNode : it->second;
   }
 
-  /// PeerId occupying `slot`; kInvalidPeer for a free slot.
+  /// PeerId occupying `slot`; kInvalidPeer for a slot not yet handed out.
   PeerId peer(NodeIndex slot) const {
     return slot < peer_of_.size() ? peer_of_[slot] : kInvalidPeer;
   }
 
   bool contains(PeerId id) const { return index_of_.contains(id); }
 
-  /// Number of live (interned, not erased) peers.
-  std::size_t size() const { return index_of_.size(); }
+  /// Number of interned peers. Slots are exactly 0..size()-1, so
+  /// vertex-indexed vectors inside the graph module are sized to this.
+  std::size_t size() const { return peer_of_.size(); }
 
-  /// Size of the dense slot table (live peers + free slots). Vertex-indexed
-  /// vectors inside the graph module are sized to this.
-  std::size_t slot_count() const { return peer_of_.size(); }
-
-  /// Frees the slot of `id` for reuse. No-op for unknown ids.
-  void erase(PeerId id);
-
-  void clear();
-
-  /// All live PeerIds, ascending (deterministic across runs and standard
+  /// All PeerIds, ascending (deterministic across runs and standard
   /// library implementations).
   std::vector<PeerId> ids_sorted() const;
 
-  /// Forward map and free list mirror each other; free slots hold
-  /// kInvalidPeer. Used by FlowGraph::check_invariants().
+  /// Forward map and slot table are mutually inverse. Used by
+  /// FlowGraph::check_invariants().
   bool check_invariants() const;
 
  private:
   std::unordered_map<PeerId, NodeIndex> index_of_;
-  std::vector<PeerId> peer_of_;     // slot -> id; kInvalidPeer when free
-  std::vector<NodeIndex> free_;     // sorted descending; back() = smallest
+  std::vector<PeerId> peer_of_;  // slot -> id
 };
 
 }  // namespace bc::graph

@@ -1,6 +1,6 @@
 // G1 fixture: dense graph internals leaking outside src/graph/. Slot
-// numbers are recycled on remove_node(), so storing or arithmetic-ing them
-// here silently re-targets a different peer after churn.
+// numbers are per graph (first-touch order), so storing or arithmetic-ing
+// them here silently targets a different peer in another graph.
 #include "graph/peer_index.hpp"
 
 namespace bc {

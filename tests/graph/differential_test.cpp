@@ -1,16 +1,21 @@
 // Differential suite: the dense FlowGraph/maxflow stack vs. the retained
 // hash-map ReferenceFlowGraph oracle (reference_graph.hpp). Both sides are
-// driven through identical randomized operation sequences — including node
-// churn — and every query surface plus all three maxflow variants must
-// agree at every checkpoint. Runs under the asan-ubsan preset in CI.
+// driven through identical randomized sequences of the graph's two
+// mutators — add_capacity and the raise_capacity max-merge — and every
+// query surface must agree at every checkpoint. Both maxflow variants
+// must match their oracle ports, and unbounded Ford-Fulkerson must match
+// the oracle's independent BFS (Edmonds-Karp) maxflow. Runs under the
+// asan-ubsan preset in CI.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/flow_graph.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/reference_graph.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_view.hpp"
 
 namespace bc::graph {
 namespace {
@@ -44,37 +49,69 @@ void expect_same_flows(const FlowGraph& dense, const ReferenceFlowGraph& ref,
   EXPECT_EQ(max_flow_ford_fulkerson(dense, s, t, 2),
             ref_max_flow_ford_fulkerson(ref, s, t, 2))
       << "bounded_ff(" << s << ", " << t << ")";
-  EXPECT_EQ(max_flow_ford_fulkerson(dense, s, t),
-            ref_max_flow_ford_fulkerson(ref, s, t))
+  const Bytes full = max_flow_ford_fulkerson(dense, s, t);
+  EXPECT_EQ(full, ref_max_flow_ford_fulkerson(ref, s, t))
       << "full_ff(" << s << ", " << t << ")";
-  EXPECT_EQ(max_flow_edmonds_karp(dense, s, t),
-            ref_max_flow_edmonds_karp(ref, s, t))
-      << "edmonds_karp(" << s << ", " << t << ")";
+  EXPECT_EQ(full, ref_max_flow_edmonds_karp(ref, s, t))
+      << "full_ff vs edmonds_karp(" << s << ", " << t << ")";
 }
 
 TEST_P(DifferentialRandom, RandomOpsAgreeEverywhere) {
   Rng rng(GetParam());
   FlowGraph dense;
   ReferenceFlowGraph ref;
+  std::vector<PeerId> first_touch;  // peers in the order they appeared
+  auto seen = [&](PeerId p) {
+    if (!ref.has_node(p)) first_touch.push_back(p);
+  };
   for (int step = 0; step < 400; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
     const PeerId u = static_cast<PeerId>(rng.uniform_int(0, kPeers - 1));
     PeerId v = static_cast<PeerId>(rng.uniform_int(0, kPeers - 2));
     if (v >= u) ++v;  // uniform over v != u
-    const Bytes amount = rng.uniform_int(0, 1000);
-    if (op < 6) {  // mostly accumulating transfers, like gossip merges
+    if (op < 5) {  // local transfers accumulate
+      const Bytes amount = rng.uniform_int(0, 1000);
+      seen(u);
+      seen(v);
       dense.add_capacity(u, v, amount);
       ref.add_capacity(u, v, amount);
-    } else if (op < 9) {
-      dense.set_capacity(u, v, amount);
-      ref.set_capacity(u, v, amount);
-    } else {  // churn: peers leave and may come back later
-      dense.remove_node(u);
-      ref.remove_node(u);
+    } else {  // gossip max-merge; non-positive claims are no-ops
+      const Bytes amount = rng.uniform_int(-100, 1500);
+      const Bytes current = ref.capacity(u, v);
+      const bool raises = amount > current;
+      if (raises) {
+        seen(u);
+        seen(v);
+        ref.add_capacity(u, v, amount - current);
+      }
+      const std::uint64_t gen = dense.generation();
+      ASSERT_EQ(dense.raise_capacity(u, v, amount), raises) << step;
+      // Only an insert (a raise of an absent edge) is structural.
+      EXPECT_EQ(dense.generation(), gen + (raises && current == 0 ? 1 : 0))
+          << step;
     }
     if (step % 40 == 39) expect_same_state(dense, ref);
   }
   expect_same_state(dense, ref);
+  // Slots are handed out on first touch and never recycled.
+  for (std::size_t slot = 0; slot < first_touch.size(); ++slot) {
+    EXPECT_EQ(dense.index().find(first_touch[slot]), slot);
+  }
+  // Adjacency arrays hold exactly the oracle's edges, ascending by peer.
+  for (PeerId n : ref.nodes()) {
+    const std::vector<PeerId> heads = util::sorted_keys(ref.out_edges(n));
+    const EdgeView out = dense.out_edges(n);
+    ASSERT_EQ(out.size(), heads.size()) << n;
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      EXPECT_EQ(out[i].peer, heads[i]) << n;
+    }
+    const std::vector<PeerId> tails = util::sorted_keys(ref.in_edges(n));
+    const EdgeView in = dense.in_edges(n);
+    ASSERT_EQ(in.size(), tails.size()) << n;
+    for (std::size_t i = 0; i < tails.size(); ++i) {
+      EXPECT_EQ(in[i], (Edge{tails[i], ref.capacity(tails[i], n)})) << n;
+    }
+  }
   for (PeerId s = 0; s < kPeers; ++s) {
     for (PeerId t = 0; t < kPeers; ++t) {
       if (s == t) continue;
@@ -87,8 +124,8 @@ TEST_P(DifferentialRandom, FlowsAgreeOnDenserGraphs) {
   Rng rng(GetParam() ^ 0xdecafbadULL);
   FlowGraph dense;
   ReferenceFlowGraph ref;
-  // No churn here: build a denser web so augmenting paths get long enough
-  // to exercise the reverse-residual bookkeeping in all variants.
+  // Build a denser web so augmenting paths get long enough to exercise
+  // the reverse-residual bookkeeping in every variant.
   for (int i = 0; i < 80; ++i) {
     const PeerId u = static_cast<PeerId>(rng.uniform_int(0, kPeers - 1));
     PeerId v = static_cast<PeerId>(rng.uniform_int(0, kPeers - 2));

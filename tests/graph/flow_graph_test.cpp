@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -25,6 +26,10 @@ TEST(FlowGraph, AddCapacityAccumulates) {
   EXPECT_EQ(g.capacity(1, 2), 150);
   EXPECT_EQ(g.capacity(2, 1), 0);
   EXPECT_EQ(g.num_edges(), 1u);
+  // Gossip-driven totals saturate instead of overflowing.
+  const Bytes max = std::numeric_limits<Bytes>::max();
+  g.add_capacity(1, 2, max);
+  EXPECT_EQ(g.capacity(1, 2), max);
   EXPECT_TRUE(g.check_invariants());
 }
 
@@ -35,31 +40,6 @@ TEST(FlowGraph, ZeroAddCreatesNodesNotEdges) {
   EXPECT_TRUE(g.has_node(2));
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, SetCapacityReplaces) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 100);
-  g.set_capacity(1, 2, 30);
-  EXPECT_EQ(g.capacity(1, 2), 30);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(FlowGraph, SetCapacityZeroRemovesEdge) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 100);
-  g.set_capacity(1, 2, 0);
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.in_edges(2).empty());
-  EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, SetCapacityCreatesEdge) {
-  FlowGraph g;
-  g.set_capacity(3, 4, 77);
-  EXPECT_EQ(g.capacity(3, 4), 77);
-  EXPECT_EQ(g.num_edges(), 1u);
 }
 
 TEST(FlowGraph, OutAndInEdgesMirror) {
@@ -97,35 +77,6 @@ TEST(FlowGraph, TotalCapacity) {
   EXPECT_EQ(g.total_capacity(), 30);
 }
 
-TEST(FlowGraph, RemoveNodeDropsIncidentEdges) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.add_capacity(2, 3, 20);
-  g.add_capacity(3, 1, 30);
-  g.remove_node(2);
-  EXPECT_FALSE(g.has_node(2));
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.capacity(3, 1), 30);
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, RemoveUnknownNodeIsNoop) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.remove_node(99);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(FlowGraph, ClearResets) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.clear();
-  EXPECT_EQ(g.num_nodes(), 0u);
-  EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.check_invariants());
-}
-
 TEST(FlowGraph, NodesAreSortedRegardlessOfInsertionOrder) {
   // Regression: nodes() used to surface unordered_map iteration order,
   // which leaks implementation-defined ordering into gossip selection and
@@ -160,44 +111,6 @@ TEST(FlowGraph, EdgeSpansSortedAscending) {
   EXPECT_EQ(in[0], (Edge{4, 4}));
   EXPECT_EQ(in[1], (Edge{5, 3}));
   EXPECT_EQ(in[2], (Edge{8, 5}));
-}
-
-TEST(FlowGraph, ChurnAddRemoveReAddSamePeer) {
-  FlowGraph g;
-  g.add_capacity(1, 2, 10);
-  g.add_capacity(2, 3, 20);
-  g.add_capacity(3, 1, 30);
-  g.remove_node(2);
-  EXPECT_TRUE(g.check_invariants());
-  // Re-adding the same PeerId must behave as a fresh node: the old
-  // incident edges stay gone and the freed slot is recycled.
-  g.add_capacity(2, 1, 7);
-  EXPECT_TRUE(g.has_node(2));
-  EXPECT_EQ(g.capacity(1, 2), 0);
-  EXPECT_EQ(g.capacity(2, 3), 0);
-  EXPECT_EQ(g.capacity(2, 1), 7);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{1, 2, 3}));
-  EXPECT_EQ(g.index().slot_count(), 3u);
-  EXPECT_TRUE(g.check_invariants());
-  // Further churn keeps nodes() sorted and the invariants intact.
-  g.remove_node(2);
-  g.remove_node(1);
-  g.add_capacity(5, 3, 1);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{3, 5}));
-  EXPECT_TRUE(g.check_invariants());
-}
-
-TEST(FlowGraph, ClearResetsIndexForReuse) {
-  FlowGraph g;
-  g.add_capacity(4, 2, 10);
-  g.add_capacity(2, 9, 5);
-  g.clear();
-  EXPECT_EQ(g.index().slot_count(), 0u);
-  g.add_capacity(9, 4, 3);
-  EXPECT_EQ(g.nodes(), (std::vector<PeerId>{4, 9}));
-  EXPECT_EQ(g.capacity(4, 2), 0);
-  EXPECT_EQ(g.capacity(9, 4), 3);
-  EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, RaiseCapacityIgnoresLowerOrEqual) {
@@ -245,9 +158,10 @@ TEST(FlowGraph, RaiseCapacityCreatesEdge) {
 }
 
 TEST(FlowGraph, RaiseCapacityMatchesProbeThenSet) {
-  // Reference: the capacity() + set_capacity() pair raise_capacity
-  // replaces. Both graphs see the same stream, with edge removals and
-  // node churn mixed in so raises also land on recycled slots.
+  // Reference: the capacity() probe plus an add_capacity() of the
+  // difference, which is what raise_capacity fuses into one lookup.
+  // Both graphs see the same stream; non-positive amounts must leave
+  // the graph untouched, absent nodes included.
   Rng rng(7);
   FlowGraph fast;
   FlowGraph ref;
@@ -255,22 +169,14 @@ TEST(FlowGraph, RaiseCapacityMatchesProbeThenSet) {
     const auto from = static_cast<PeerId>(rng.uniform_int(0, 15));
     auto to = static_cast<PeerId>(rng.uniform_int(0, 14));
     if (to >= from) ++to;
-    const auto op = rng.uniform_int(0, 19);
-    if (op == 0) {
-      fast.set_capacity(from, to, 0);
-      ref.set_capacity(from, to, 0);
-    } else if (op == 1) {
-      fast.remove_node(from);
-      ref.remove_node(from);
-    } else {
-      const Bytes amount = 10 * rng.uniform_int(-1, 12);
-      bool changed = false;
-      if (amount > ref.capacity(from, to)) {
-        ref.set_capacity(from, to, amount);
-        changed = true;
-      }
-      ASSERT_EQ(fast.raise_capacity(from, to, amount), changed) << step;
+    const Bytes amount = 10 * rng.uniform_int(-1, 12);
+    bool changed = false;
+    const Bytes current = ref.capacity(from, to);
+    if (amount > current) {
+      ref.add_capacity(from, to, amount - current);
+      changed = true;
     }
+    ASSERT_EQ(fast.raise_capacity(from, to, amount), changed) << step;
     ASSERT_EQ(fast.generation(), ref.generation()) << step;
   }
   ASSERT_TRUE(fast.check_invariants());

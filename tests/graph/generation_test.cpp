@@ -1,4 +1,4 @@
-// Tests for the FlowGraph structural-generation counter and the EdgeView
+// Tests for the FlowGraph edge-insert generation counter and the EdgeView
 // invalidation guard — the dynamic counterpart of bc-analyze rule L2
 // (invalidated-view). Debug builds must fail stop on a stale view; release
 // builds must pay nothing for the guard (EdgeView is layout-identical to
@@ -13,27 +13,16 @@ namespace bc::graph {
 namespace {
 
 TEST(GenerationTest, BumpsOnEveryStructuralMutation) {
+  // The graph only grows, so an edge insert is its one structural
+  // mutation, whichever mutator performs it.
   FlowGraph g;
   const std::uint64_t start = g.generation();
-  g.add_capacity(1, 2, 10);  // edge insert
-  EXPECT_GT(g.generation(), start);
-
-  const std::uint64_t after_insert = g.generation();
-  g.set_capacity(1, 2, 0);  // edge erase
-  EXPECT_GT(g.generation(), after_insert);
-
-  const std::uint64_t after_erase = g.generation();
-  g.set_capacity(1, 2, 3);  // set_capacity insert path
-  EXPECT_GT(g.generation(), after_erase);
-
-  const std::uint64_t after_set = g.generation();
-  g.add_capacity(5, 6, 1);
-  g.remove_node(5);
-  EXPECT_GT(g.generation(), after_set);
-
-  const std::uint64_t before_clear = g.generation();
-  g.clear();
-  EXPECT_GT(g.generation(), before_clear);
+  g.add_capacity(1, 2, 10);  // insert through add_capacity
+  EXPECT_EQ(g.generation(), start + 1);
+  g.raise_capacity(2, 3, 4);  // insert through raise_capacity
+  EXPECT_EQ(g.generation(), start + 2);
+  g.raise_capacity(5, 6, 1);  // insert that also creates both nodes
+  EXPECT_EQ(g.generation(), start + 3);
 }
 
 TEST(GenerationTest, ContentUpdatesDoNotBump) {
@@ -43,9 +32,11 @@ TEST(GenerationTest, ContentUpdatesDoNotBump) {
   FlowGraph g;
   g.add_capacity(1, 2, 10);
   const std::uint64_t gen = g.generation();
-  g.add_capacity(1, 2, 5);  // saturating in-place update
+  g.add_capacity(1, 2, 5);  // saturating in-place add
   EXPECT_EQ(g.generation(), gen);
-  g.set_capacity(1, 2, 7);  // in-place replace
+  EXPECT_TRUE(g.raise_capacity(1, 2, 40));  // in-place raise
+  EXPECT_EQ(g.generation(), gen);
+  EXPECT_FALSE(g.raise_capacity(1, 2, 7));  // no-op raise
   EXPECT_EQ(g.generation(), gen);
   g.add_capacity(3, 4, 0);  // node creation without an edge
   EXPECT_EQ(g.generation(), gen);
@@ -62,8 +53,8 @@ TEST(GenerationTest, ViewsStayValidAcrossContentUpdates) {
 
 #ifndef NDEBUG
 TEST(GenerationDeathTest, StaleViewAbortsInDebugBuilds) {
-  // The injected dangling-span bug: hold out_edges() across a structural
-  // mutation, then touch the view. Statically this is an L2 finding;
+  // The injected dangling-span bug: hold out_edges() across an edge
+  // insert, then touch the view. Statically this is an L2 finding;
   // dynamically the generation snapshot no longer matches and the next
   // access must abort.
   FlowGraph g;

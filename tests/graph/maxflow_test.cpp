@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/reference_graph.hpp"
 #include "util/rng.hpp"
 
 namespace bc::graph {
@@ -86,11 +87,6 @@ TEST(MaxflowFF, BoundedNeverExceedsUnbounded) {
   }
 }
 
-TEST(MaxflowEK, MatchesFFOnDiamond) {
-  const FlowGraph g = diamond();
-  EXPECT_EQ(max_flow_edmonds_karp(g, 0, 3), 14);
-}
-
 TEST(MaxflowTwoHop, DirectPlusIntermediates) {
   const FlowGraph g = diamond();
   // 2 (direct) + min(10,7) + min(5,9) = 14, same as full here.
@@ -126,8 +122,11 @@ TEST(MaxflowTwoHop, ContainmentByEvaluatorInEdges) {
 
 // --- randomized cross-checks -------------------------------------------
 
-FlowGraph random_graph(Rng& rng, PeerId nodes, int edges, Bytes max_cap) {
-  FlowGraph g;
+/// Random graph on `nodes` peers. `G` is FlowGraph or the test oracle
+/// ReferenceFlowGraph: the same Rng state builds the same graph in either.
+template <typename G = FlowGraph>
+G random_graph(Rng& rng, PeerId nodes, int edges, Bytes max_cap) {
+  G g;
   for (int e = 0; e < edges; ++e) {
     const auto a = static_cast<PeerId>(rng.index(nodes));
     auto b = static_cast<PeerId>(rng.index(nodes));
@@ -143,11 +142,16 @@ FlowGraph random_graph(Rng& rng, PeerId nodes, int edges, Bytes max_cap) {
 class MaxflowRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MaxflowRandom, FordFulkersonEqualsEdmondsKarp) {
+  // Unbounded DFS Ford-Fulkerson must equal an independent BFS maxflow:
+  // the test oracle's Edmonds-Karp over the same edges.
   Rng rng(GetParam());
   for (int round = 0; round < 10; ++round) {
+    Rng replay = rng;
     const FlowGraph g = random_graph(rng, 12, 40, 50);
+    const auto ref = random_graph<ReferenceFlowGraph>(replay, 12, 40, 50);
     const PeerId s = 0, t = 11;
-    EXPECT_EQ(max_flow_ford_fulkerson(g, s, t), max_flow_edmonds_karp(g, s, t))
+    EXPECT_EQ(max_flow_ford_fulkerson(g, s, t),
+              ref_max_flow_edmonds_karp(ref, s, t))
         << "seed=" << GetParam() << " round=" << round;
   }
 }

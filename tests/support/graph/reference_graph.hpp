@@ -1,12 +1,14 @@
 // Reference (oracle) graph implementation for differential testing.
 //
 // This is the pre-dense-core FlowGraph: nested hash-map adjacency with a
-// mirrored in-edge set, plus straight ports of the three maxflow variants
-// on top of it. It is retained verbatim-in-spirit as an independent oracle:
-// the differential test suite (tests/graph/differential_test.cpp) drives
-// the dense FlowGraph and this ReferenceFlowGraph through identical
-// randomized operation sequences and cross-checks every query and all
-// three maxflow variants. It also backs the dense-vs-hash comparison in
+// mirrored in-edge set, plus straight ports of the maxflow variants on top
+// of it and an independent BFS (Edmonds-Karp) maxflow. It is retained
+// verbatim-in-spirit as an independent oracle: the differential test suite
+// (tests/graph/differential_test.cpp) drives the dense FlowGraph and this
+// ReferenceFlowGraph through identical randomized operation sequences and
+// cross-checks every query and every maxflow variant. Like the dense
+// graph it only grows: add_capacity is its one mutator (a max-merge is an
+// add of the difference). It also backs the dense-vs-hash comparison in
 // bench/graph_core.cpp.
 //
 // Not for production use: the hash layout is slower on the two-hop hot path
@@ -31,9 +33,6 @@ class ReferenceFlowGraph {
   /// the nodes (but not the edge).
   void add_capacity(PeerId from, PeerId to, Bytes amount);
 
-  /// Replaces the capacity of edge (from, to). A value of 0 removes the edge.
-  void set_capacity(PeerId from, PeerId to, Bytes amount);
-
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
 
@@ -55,11 +54,6 @@ class ReferenceFlowGraph {
   Bytes out_capacity(PeerId node) const;
   Bytes in_capacity(PeerId node) const;
 
-  /// Removes a node and all incident edges. No-op for unknown node.
-  void remove_node(PeerId node);
-
-  void clear();
-
   /// Internal consistency check (out/in indices mirror each other, all
   /// capacities positive).
   bool check_invariants() const;
@@ -76,7 +70,9 @@ class ReferenceFlowGraph {
 /// Oracle ports of the maxflow variants over the hash-map representation.
 /// Semantics match the dense implementations in maxflow.cpp exactly
 /// (including the deterministic ascending-PeerId exploration order, which
-/// the hash version recovers by sorting candidates per step).
+/// the hash version recovers by sorting candidates per step). The BFS
+/// Edmonds-Karp has no dense counterpart: it is the independent maxflow
+/// that unbounded Ford-Fulkerson is checked against.
 Bytes ref_max_flow_ford_fulkerson(const ReferenceFlowGraph& g, PeerId s,
                                   PeerId t,
                                   int max_path_edges = kUnboundedPathLength);
