@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "bartercast/backend.hpp"
 #include "community/simulator.hpp"
 #include "trace/generator.hpp"
 
@@ -86,6 +87,40 @@ TEST(Determinism, DifferentScenarioSeedDiverges) {
   const std::string first = run_once(21, 9);
   const std::string other = run_once(21, 10);
   EXPECT_NE(first, other);
+}
+
+// Pins the differential-gossip backend's end-to-end output: a small seeded
+// community (the PlotFixture shape: 30 peers, 4 swarms, 2 days) run under a
+// ban policy with the gossip metric, digested over the bit patterns of the
+// final system reputations. The reputations feed the choker, so a sweep
+// that changed one FP addition would move this digest.
+TEST(Determinism, GossipBackendFinalReputationsArePinned) {
+  trace::GeneratorConfig tcfg;
+  tcfg.seed = 55;
+  tcfg.num_peers = 30;
+  tcfg.num_swarms = 4;
+  tcfg.duration = 2.0 * kDay;
+  tcfg.file_size_max = mib(700);
+  ScenarioConfig cfg;
+  cfg.seed = 9;
+  cfg.policy = bartercast::ReputationPolicy::ban(-0.5);
+  cfg.population = "sharer:0.5,lazy:0.3,slanderer:0.2";
+  cfg.node.backend = bartercast::BackendKind::kDifferentialGossip;
+  CommunitySimulator sim(trace::generate(tcfg), cfg);
+  sim.run();
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a 64
+  auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (word >> (8 * b)) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  ASSERT_EQ(sim.metrics().outcomes.size(), 30u);
+  for (const auto& o : sim.metrics().outcomes) {
+    mix(o.peer);
+    mix(std::bit_cast<std::uint64_t>(o.final_system_reputation));
+  }
+  EXPECT_EQ(digest, 0x4901214adc0fab83ull) << std::hex << digest;
 }
 
 }  // namespace
