@@ -15,12 +15,15 @@
 // path at the attacker's real upload; averaging does not). That contrast
 // is exactly what bench/ablation_adversary.cpp measures.
 //
-// Determinism contract: scores are computed by Jacobi iteration over
-// graph.nodes() in ascending PeerId order, reading only the previous
-// round's vector, so the floating-point addition order is a pure function
-// of the graph contents. The whole score vector is memoised per
-// (view, version): under CachedReputation the expensive sweep runs once
-// per view mutation, not once per subject.
+// Determinism contract: scores are computed by Jacobi iteration over the
+// graph's ranked adjacency (FlowGraph::ranked_adjacency: nodes in
+// ascending PeerId order, each row its out-edges then its in-edges, both
+// ascending), reading only the previous round's vector, so the
+// floating-point addition order is a pure function of the graph contents.
+// The adjacency copy and the round buffers are per-thread scratch shared
+// by every backend on the thread. The whole score vector is memoised per
+// (view, version) as ascending ids plus scores: under CachedReputation the
+// sweep runs once per view mutation, not once per subject.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "bartercast/reputation.hpp"
 #include "bartercast/shared_history.hpp"
@@ -77,20 +81,26 @@ class DifferentialGossipBackend final : public ReputationBackend {
   const DifferentialGossipConfig& config() const { return config_; }
 
   /// The full converged score vector on an explicit graph, exposed for
-  /// tests and benches. Deterministic (see header comment).
+  /// tests and benches. Deterministic (see header comment). Runs a sweep
+  /// through the memo, so the next reputation() call sweeps its view anew.
   std::unordered_map<PeerId, double> scores(
       const graph::FlowGraph& graph) const;
 
  private:
+  // Runs the prior and the Jacobi rounds over `graph` and leaves the
+  // clamped scores in the memo vectors (keys untouched).
+  void sweep(const graph::FlowGraph& graph) const;
+
   DifferentialGossipConfig config_;
 
-  /// Per-(view, version) memo of the last score sweep. Mutated only under
-  /// the const reputation() call; safe because a backend instance is
-  /// owned by exactly one CachedReputation (itself single-threaded).
+  /// Memo of the last sweep, keyed by (view, version); a null view means
+  /// it holds no view's scores. Mutated only under the const methods; safe
+  /// because a backend instance is owned by exactly one CachedReputation
+  /// (itself single-threaded).
   mutable const SharedHistory* memo_view_ = nullptr;
   mutable std::uint64_t memo_version_ = 0;
-  mutable bool memo_valid_ = false;
-  mutable std::unordered_map<PeerId, double> memo_scores_;
+  mutable std::vector<PeerId> memo_ids_;     // ascending
+  mutable std::vector<double> memo_scores_;  // score of memo_ids_[i]
 };
 
 /// Constructs the backend selected by `kind`. The maxflow backend takes

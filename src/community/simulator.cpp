@@ -315,7 +315,7 @@ void CommunitySimulator::choke_swarm(SwarmId swarm_id,
       const Bytes moved = u_is_seed ? ctx.swarm.last_round_bytes(u, v)
                                     : ctx.swarm.last_round_bytes(v, u);
       c.rate = static_cast<Rate>(moved) / dt;
-      // bc-analyze: allow(P1) -- the gossip backend's score sweep is memoized per view version inside DifferentialGossipBackend, so its buffers are rebuilt once per view mutation, not per choke decision; the maxflow backend allocates nothing here
+      // bc-analyze: allow(P1) -- the gossip backend sweeps once per view version (memoized in DifferentialGossipBackend) into per-thread scratch and a per-backend memo that are refilled in place, so they allocate only when a view outgrows every earlier one; the maxflow backend allocates nothing here
       c.reputation = use_reputation ? choker_reputation(u, v) : 0.0;
       candidates.push_back(c);
     }
@@ -371,7 +371,7 @@ void CommunitySimulator::round() {
       if (overlay_.online(m)) online_members[s].push_back(m);
     }
     total_online += online_members[s].size();
-    // bc-analyze: allow(P1) -- transitive image of choke_swarm's suppressed gossip-backend memo rebuild (amortized once per view version)
+    // bc-analyze: allow(P1) -- transitive image of choke_swarm's suppressed gossip-backend sweep (per-thread scratch refilled in place, once per view version)
     choke_swarm(s, online_members[s]);
   }
 

@@ -44,9 +44,9 @@ NodeIndex FlowGraph::touch(PeerId node) {
 void FlowGraph::insert_edge(NodeIndex fi, NodeIndex ti, PeerId from,
                             PeerId to, Bytes cap) {
   auto& adj = out_[fi];
-  adj.insert(adj_lower_bound(adj, to), Edge{to, cap});
+  adj.insert(adj_lower_bound(adj, to), Edge{to, ti, cap});
   auto& mirror = in_[ti];
-  mirror.insert(adj_lower_bound(mirror, from), Edge{from, cap});
+  mirror.insert(adj_lower_bound(mirror, from), Edge{from, fi, cap});
   ++num_edges_;
   ++gen_;
 }
@@ -147,6 +147,41 @@ Bytes FlowGraph::total_capacity() const {
   return total;
 }
 
+void FlowGraph::ranked_adjacency(RankedAdjacency& out) const {
+  const std::size_t n = index_.size();
+  // Rank order: sort (PeerId, slot) pairs packed into one word, so the
+  // sort compares integers and the slot rides along.
+  out.order_.resize(n);
+  for (NodeIndex slot = 0; slot < n; ++slot) {
+    out.order_[slot] = (std::uint64_t{index_.peer(slot)} << 32) | slot;
+  }
+  std::sort(out.order_.begin(), out.order_.end());
+  out.ids_.resize(n);
+  out.rank_of_slot_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    out.ids_[r] = static_cast<PeerId>(out.order_[r] >> 32);
+    out.rank_of_slot_[static_cast<NodeIndex>(out.order_[r])] =
+        static_cast<std::uint32_t>(r);
+  }
+  // Each entry's stored slot makes its neighbor's rank one array read.
+  out.bounds_.clear();
+  out.bounds_.reserve(2 * n + 1);
+  out.entries_.clear();
+  out.entries_.reserve(2 * num_edges_);
+  auto copy_half = [&out](const std::vector<Edge>& adj) {
+    for (const Edge& e : adj) {
+      out.entries_.push_back({out.rank_of_slot_[e.slot_], e.cap});
+    }
+    out.bounds_.push_back(out.entries_.size());
+  };
+  out.bounds_.push_back(0);
+  for (const std::uint64_t packed : out.order_) {
+    const auto slot = static_cast<NodeIndex>(packed);
+    copy_half(out_[slot]);
+    copy_half(in_[slot]);
+  }
+}
+
 bool FlowGraph::check_invariants() const {
   if (!index_.check_invariants()) return false;
   if (out_.size() != index_.size() || in_.size() != index_.size()) {
@@ -167,7 +202,7 @@ bool FlowGraph::check_invariants() const {
     }
     for (const Edge& e : out_[slot]) {
       const NodeIndex to = index_.find(e.peer);
-      if (to == kNoNode || to >= in_.size()) return false;
+      if (to == kNoNode || to >= in_.size() || e.slot_ != to) return false;
       const Edge* mirror = adj_find(in_[to], id);
       if (mirror == nullptr || mirror->cap != e.cap) return false;
       // The point-query sidecar must agree with the adjacency array.
@@ -178,7 +213,9 @@ bool FlowGraph::check_invariants() const {
     // Every in-edge must have a matching out-edge with the same capacity.
     for (const Edge& e : in_[slot]) {
       const NodeIndex from = index_.find(e.peer);
-      if (from == kNoNode || from >= out_.size()) return false;
+      if (from == kNoNode || from >= out_.size() || e.slot_ != from) {
+        return false;
+      }
       const Edge* fwd = adj_find(out_[from], id);
       if (fwd == nullptr || fwd->cap != e.cap) return false;
     }

@@ -15,9 +15,12 @@
 // maxflow.cpp), and every public iteration surface deterministically
 // ordered without sorted_view wrappers.
 //
-// The public API speaks PeerId only. Dense indices are an internal detail
-// of src/graph/ (bc-analyze rule G1 flags leaks); the `index()` accessor
-// exists for the maxflow implementations and tests of this module.
+// The public API speaks PeerId, plus one whole-graph read surface for
+// sweeps, ranked_adjacency(), which speaks ranks (positions in ascending
+// PeerId order, a pure function of the node set). Dense slot indices are
+// an internal detail of src/graph/ (bc-analyze rule G1 flags leaks); the
+// `index()` accessor exists for the maxflow implementations and tests of
+// this module.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +53,89 @@ namespace bc::graph {
 /// In an out-edge array of node u, `peer` is the head v of edge (u, v); in
 /// an in-edge array of node v, `peer` is the tail u and `cap` the same
 /// c(u, v) (the mirror stores capacities so reverse scans need no lookup).
+///
+/// The entry also carries the neighbor's slot in the owning graph, in the
+/// four bytes that would otherwise be padding, so the graph core can walk
+/// from an entry to the neighbor's tables without a PeerIndex probe. The
+/// slot is private to src/graph/ and takes no part in equality.
 struct Edge {
+  Edge(PeerId neighbor, Bytes capacity) : peer(neighbor), cap(capacity) {}
+
   PeerId peer;
+
+ private:
+  friend class FlowGraph;
+
+  Edge(PeerId neighbor, NodeIndex slot, Bytes capacity)
+      : peer(neighbor), slot_(slot), cap(capacity) {}
+
+  NodeIndex slot_ = kNoNode;  // slot of `peer`; set by FlowGraph::insert_edge
+
+ public:
   Bytes cap;
 
-  friend bool operator==(const Edge&, const Edge&) = default;
+  friend bool operator==(const Edge& a, const Edge& b) {
+    return a.peer == b.peer && a.cap == b.cap;
+  }
+};
+
+static_assert(sizeof(Edge) == 16,
+              "the neighbor slot must live in Edge's padding: adjacency "
+              "arrays are the graph's memory footprint");
+
+/// A compressed-row copy of one FlowGraph, indexed by *rank*: the position
+/// of a node's PeerId in ascending order. Ranks are a pure function of the
+/// node set (not of the order nodes were first touched), so they are as
+/// deterministic as the PeerIds themselves. Row r holds r's out-edges and
+/// then its in-edges, each ascending by neighbor PeerId (equivalently by
+/// neighbor rank), as (neighbor rank, capacity) pairs.
+///
+/// Filled by FlowGraph::ranked_adjacency(). Reusable: a refill keeps the
+/// buffers' capacity, so a caller that keeps one instance per thread pays
+/// the allocator only when a graph outgrows every earlier one. A refill
+/// replaces the whole copy; nothing here tracks later graph mutations.
+class RankedAdjacency {
+ public:
+  struct Entry {
+    std::uint32_t rank;  // neighbor's rank
+    Bytes cap;           // capacity of the connecting edge
+  };
+
+  /// Number of nodes (ranks are 0..size()-1).
+  std::size_t size() const { return ids_.size(); }
+  /// PeerId of every rank, ascending.
+  std::span<const PeerId> ids() const { return ids_; }
+
+  /// Rank r's out-edges followed by its in-edges.
+  std::span<const Entry> row(std::size_t r) const { return halves(2 * r, 2); }
+  /// Rank r's out-edges (entry: head rank, capacity).
+  std::span<const Entry> out_edges(std::size_t r) const {
+    return halves(2 * r, 1);
+  }
+  /// Rank r's in-edges (entry: tail rank, capacity).
+  std::span<const Entry> in_edges(std::size_t r) const {
+    return halves(2 * r + 1, 1);
+  }
+
+ private:
+  friend class FlowGraph;
+
+  // Entries of `count` consecutive half-rows from half-row `first`; half-row
+  // 2r holds rank r's out-edges and 2r + 1 its in-edges.
+  std::span<const Entry> halves(std::size_t first, std::size_t count) const {
+    const std::size_t last = first + count;
+    BC_DASSERT(first < last && last < bounds_.size());
+    const std::size_t begin = bounds_[first];
+    return std::span<const Entry>(entries_).subspan(begin,
+                                                    bounds_[last] - begin);
+  }
+
+  std::vector<PeerId> ids_;           // rank -> PeerId
+  std::vector<std::size_t> bounds_;   // 2 * size() + 1 row/half-row offsets
+  std::vector<Entry> entries_;        // every edge twice: once per endpoint
+  // Build temporaries, slot-valued and therefore never exposed.
+  std::vector<std::uint64_t> order_;  // (PeerId << 32 | slot), ascending
+  std::vector<std::uint32_t> rank_of_slot_;
 };
 
 /// A read-only view of one node's adjacency array. Semantically a
@@ -171,10 +252,15 @@ class FlowGraph {
   /// Sum of capacities entering `node` (the trivial cut around the sink).
   Bytes in_capacity(PeerId node) const;
 
+  /// Fills `out` with a rank-indexed compressed-row copy of this graph
+  /// (see RankedAdjacency). O(n log n + edges): one sort of the node ids,
+  /// then one array read per adjacency entry.
+  void ranked_adjacency(RankedAdjacency& out) const;
+
   /// Internal consistency check (adjacency sorted strictly ascending, all
   /// capacities positive, out/in arrays mirror each other with equal
-  /// capacities, PeerIndex bijection intact). Used by tests and BC_DASSERT
-  /// call sites.
+  /// capacities, every entry's stored slot is its neighbor's slot,
+  /// PeerIndex bijection intact). Used by tests and BC_DASSERT call sites.
   bool check_invariants() const;
 
   /// The interning layer, exposed for the maxflow implementations and the

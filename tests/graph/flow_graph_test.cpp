@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -189,6 +191,94 @@ TEST(FlowGraph, RaiseCapacityMatchesProbeThenSet) {
     const EdgeView fi = fast.in_edges(n), ri = ref.in_edges(n);
     EXPECT_TRUE(std::equal(fi.begin(), fi.end(), ri.begin(), ri.end())) << n;
   }
+}
+
+// Every adjacency entry stores its neighbor's slot, and an insert at the
+// front or middle of an array shifts the entries behind it: the stored
+// slots must travel with their entries. check_invariants() compares each
+// stored slot with index().find(peer).
+TEST(FlowGraph, StoredSlotsFollowTheirEntries) {
+  FlowGraph g;
+  for (PeerId v = 20; v > 0; --v) {  // every insert lands at the front
+    g.add_capacity(0, v, 1);
+    g.add_capacity(v, 0, 1);
+    ASSERT_TRUE(g.check_invariants()) << v;
+  }
+  Rng rng(11);
+  for (int step = 0; step < 2000; ++step) {
+    const auto from = static_cast<PeerId>(1000 * rng.uniform_int(0, 30));
+    auto to = static_cast<PeerId>(1000 * rng.uniform_int(0, 29));
+    if (to >= from) to += 1000;
+    if (rng.chance(0.5)) {
+      g.add_capacity(from, to, rng.uniform_int(0, 50));
+    } else {
+      g.raise_capacity(from, to, rng.uniform_int(-5, 500));
+    }
+    if (step % 100 == 99) {
+      ASSERT_TRUE(g.check_invariants()) << step;
+    }
+  }
+}
+
+void expect_same_entries(std::span<const RankedAdjacency::Entry> ranked,
+                         const EdgeView& edges,
+                         std::span<const PeerId> ids) {
+  ASSERT_EQ(ranked.size(), edges.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    ASSERT_LT(ranked[i].rank, ids.size());
+    EXPECT_EQ(ids[ranked[i].rank], edges[i].peer) << i;
+    EXPECT_EQ(ranked[i].cap, edges[i].cap) << i;
+  }
+}
+
+TEST(FlowGraph, RankedAdjacencyMirrorsThePeerIdApi) {
+  // Sparse large ids touched in random order: slots and ranks disagree.
+  Rng rng(5);
+  FlowGraph g;
+  for (int step = 0; step < 600; ++step) {
+    const auto from =
+        static_cast<PeerId>((PeerId{1} << 31) + 977 * rng.uniform_int(0, 40));
+    auto to = static_cast<PeerId>((PeerId{1} << 31) +
+                                  977 * rng.uniform_int(0, 39));
+    if (to >= from) to += 977;
+    g.raise_capacity(from, to, rng.uniform_int(0, 1000));
+  }
+  g.add_capacity(3, 1, 0);  // isolated nodes below every other id
+  RankedAdjacency adj;
+  g.ranked_adjacency(adj);
+  const std::vector<PeerId> nodes = g.nodes();
+  ASSERT_EQ(adj.size(), nodes.size());
+  EXPECT_TRUE(std::equal(adj.ids().begin(), adj.ids().end(), nodes.begin(),
+                         nodes.end()));
+  for (std::size_t r = 0; r < adj.size(); ++r) {
+    expect_same_entries(adj.out_edges(r), g.out_edges(nodes[r]), adj.ids());
+    expect_same_entries(adj.in_edges(r), g.in_edges(nodes[r]), adj.ids());
+    // A row is the out-half followed by the in-half.
+    EXPECT_EQ(adj.row(r).data(), adj.out_edges(r).data());
+    EXPECT_EQ(adj.row(r).size(),
+              adj.out_edges(r).size() + adj.in_edges(r).size());
+  }
+  EXPECT_TRUE(adj.row(0).empty());  // peer 1: isolated
+
+  // A refill replaces the whole copy, here with a smaller graph.
+  FlowGraph small;
+  small.add_capacity(5, 3, 7);
+  small.ranked_adjacency(adj);
+  ASSERT_EQ(adj.size(), 2u);
+  EXPECT_EQ(adj.ids()[0], 3u);
+  EXPECT_EQ(adj.ids()[1], 5u);
+  EXPECT_TRUE(adj.out_edges(0).empty());
+  ASSERT_EQ(adj.in_edges(0).size(), 1u);
+  EXPECT_EQ(adj.in_edges(0)[0].rank, 1u);
+  EXPECT_EQ(adj.in_edges(0)[0].cap, 7);
+  ASSERT_EQ(adj.out_edges(1).size(), 1u);
+  EXPECT_EQ(adj.out_edges(1)[0].rank, 0u);
+  EXPECT_TRUE(adj.in_edges(1).empty());
+
+  FlowGraph empty;
+  empty.ranked_adjacency(adj);
+  EXPECT_EQ(adj.size(), 0u);
+  EXPECT_TRUE(adj.ids().empty());
 }
 
 TEST(FlowGraphDeathTest, SelfEdgeRejected) {

@@ -28,8 +28,8 @@ TEST_P(MaxflowAlgebra, ScalingCapacitiesScalesFlow) {
   const FlowGraph g = random_graph(rng, 10, 30, 100);
   FlowGraph scaled;
   for (PeerId u : g.nodes()) {
-    for (const auto& [v, c] : g.out_edges(u)) {
-      scaled.add_capacity(u, v, c * 7);
+    for (const Edge& e : g.out_edges(u)) {
+      scaled.add_capacity(u, e.peer, e.cap * 7);
     }
   }
   scaled.add_capacity(0, 1, 0);

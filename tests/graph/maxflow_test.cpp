@@ -186,9 +186,9 @@ TEST_P(MaxflowRandom, FlowBoundedByCuts) {
   const Bytes flow = max_flow_ford_fulkerson(g, 0, 7);
   // Out-capacity of the source and in-capacity of the sink are both cuts.
   Bytes out_cap = 0;
-  for (const auto& [_, c] : g.out_edges(0)) out_cap += c;
+  for (const Edge& e : g.out_edges(0)) out_cap += e.cap;
   Bytes in_cap = 0;
-  for (const auto& [_, c] : g.in_edges(7)) in_cap += c;
+  for (const Edge& e : g.in_edges(7)) in_cap += e.cap;
   EXPECT_LE(flow, out_cap);
   EXPECT_LE(flow, in_cap);
 }
