@@ -70,5 +70,13 @@ int main() {
     std::printf("gnuplot scripts: %s %s %s\n", gp_a.c_str(), gp_b.c_str(),
                 gp_c.c_str());
   }
-  return last_s > last_f ? 0 : 1;
+
+  // Shape checks. Fig. 1a: sharers end above freeriders. Fig. 1b:
+  // reputation tracks net contribution, linearly and by rank.
+  const bool diverges = last_s > last_f;
+  const bool consistent = pearson >= 0.8 && spearman >= 0.8;
+  std::printf("\nshape checks: sharers above freeriders: %s; "
+              "pearson/spearman >= 0.8: %s\n",
+              diverges ? "PASS" : "FAIL", consistent ? "PASS" : "FAIL");
+  return diverges && consistent ? 0 : 1;
 }

@@ -87,5 +87,5 @@ int main() {
               "gap: %s; lie@50%% erodes: %s\n",
               ignore_ok ? "PASS" : "FAIL", 100.0 * lie_pts[1].fraction,
               lie_small_ok ? "PASS" : "FAIL", lie_erodes ? "PASS" : "FAIL");
-  return ignore_ok && lie_small_ok ? 0 : 1;
+  return ignore_ok && lie_small_ok && lie_erodes ? 0 : 1;
 }

@@ -13,11 +13,6 @@ Rule catalogue (see DESIGN.md section 9):
   D3 unseeded-random      no std::random_device / libc rand / std::<random>
                           engines outside src/util/rng.*; all randomness
                           flows through the seeded bc::Rng
-  B1 byte-narrowing       no narrowing or sign-changing casts on
-                          byte-counter (Bytes) expressions: the uint64/int64
-                          upload-download ledgers behind c(i,j) and the
-                          Eq. 1 maxflow capacities must never silently
-                          truncate or wrap
   B2 float-equality       no ==/!= on reputation/time floating-point
                           values; use explicit thresholds or restructure
                           comparators to use </> only
@@ -71,10 +66,12 @@ Rule catalogue (see DESIGN.md section 9):
                           zero (Eq. 1 denominators, histogram bucket math,
                           rates) with no dominating guard proving it
                           nonzero
-  V3 value-narrowing      value-range upgrade of the syntactic B1 rule:
-                          a loop-carried / int64-derived value stored into
-                          a narrower type (including implicitly, and into
-                          double past 2^53) whose interval does not fit
+  V3 value-narrowing      a Bytes / loop-carried / int64-derived value
+                          cast or stored into a narrower type (including
+                          implicitly, and into double past 2^53) whose
+                          interval does not fit: the upload-download
+                          ledgers behind c(i,j) and the Eq. 1 maxflow
+                          capacities must never silently truncate
   V4 unbounded-index      subscript arithmetic (`v[i + 1]`, `buf[n - 1]`)
                           with no dominating size()/resize bound or
                           interval proof that the index stays in range
@@ -115,14 +112,13 @@ Suppression syntax, on the offending line or a comment line directly above:
   // bc-analyze: allow(D2,B2) -- wall-clock display only, never in sim state
 """
 
-__version__ = "2.0"
+__version__ = "2.1"
 
 RULES = {
     "D1": "unordered-iteration",
     "D2": "wall-clock",
     "D3": "unseeded-random",
     "D4": "determinism-taint",
-    "B1": "byte-narrowing",
     "B2": "float-equality",
     "C1": "raw-primitive",
     "C2": "unguarded-shared-member",
@@ -148,7 +144,6 @@ RULE_EXEMPT_PREFIXES = {
     "D1": ("src/util/sorted_view.hpp",),
     "D2": ("src/obs/", "src/util/logging.hpp", "src/util/logging.cpp"),
     "D3": ("src/util/rng.hpp", "src/util/rng.cpp"),
-    "B1": (),
     "B2": (),
     "C1": ("src/util/concurrency/",),
     "C2": (),

@@ -18,7 +18,7 @@ from bc_analyze.cache import (
 )
 from bc_analyze.callgraph import Program
 from bc_analyze.model import Finding
-from bc_analyze.rules_bytes import check_b1, check_b2
+from bc_analyze.rules_bytes import check_b2
 from bc_analyze.rules_concurrency import check_c1, check_c2, check_c3
 from bc_analyze.rules_dataflow import (
     check_c4,
@@ -106,9 +106,7 @@ class Analysis:
     def run_token_rules(self) -> list[Finding]:
         # Names that different files declare with conflicting types are
         # ambiguous; drop them from the cross-file tables rather than guess.
-        ambiguous = self.global_bytes & self.global_floats
-        xfile_bytes = self.global_bytes - ambiguous
-        xfile_floats = self.global_floats - ambiguous
+        xfile_floats = self.global_floats - self.global_bytes
         xfile_unordered = self.global_unordered - self.global_ordered
         # Same ambiguity policy for accessor functions: a name some file
         # declares as returning an ordered container (sorted span, vector)
@@ -139,8 +137,6 @@ class Analysis:
                 "D1": lambda s=sf: check_d1(s, d1_names, d1_fns, d1_subs),
                 "D2": lambda s=sf: check_d2(s),
                 "D3": lambda s=sf: check_d3(s),
-                "B1": lambda s=sf: check_b1(
-                    s, l_bytes, (l_ints | l_floats) - l_bytes, xfile_bytes),
                 "B2": lambda s=sf: check_b2(
                     s, l_floats, (l_ints | l_bytes) - l_floats, xfile_floats),
                 "C1": lambda s=sf: check_c1(s),
@@ -302,7 +298,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="bc_analyze.py",
         description=("BarterCast determinism, byte-accounting, concurrency"
                      " & hot-path static analyzer (intraprocedural rules"
-                     " D1-D3, B1-B2, C1-C3, G1; interprocedural dataflow"
+                     " D1-D3, B2, C1-C3, G1; interprocedural dataflow"
                      " rules D4, P1, C4, C5; interval value-analysis rules"
                      " V1-V4)"))
     parser.add_argument("paths", nargs="*", default=None,

@@ -1,11 +1,5 @@
-"""Byte-accounting rules B1-B2.
+"""Byte-accounting rule B2 (narrowing casts on Bytes belong to V3).
 
-B1 byte-narrowing: the upload/download ledgers behind c(i,j) and the
-   Eq. 1 maxflow capacities are Bytes (int64). Casting such an expression
-   to a narrower or sign-changed integer type silently truncates or wraps
-   real traffic: a 4 GiB ledger in an int32 becomes 0. Conversions to
-   double are allowed — they are display-only and exact below 2^53 bytes
-   (8 PiB), far above any ledger this system can accumulate.
 B2 float-equality: reputation values and simulation times are doubles;
    ==/!= on them is almost never the comparison intended, and the two
    deliberate exceptions (exact tie checks in total-order comparators) are
@@ -17,55 +11,7 @@ from __future__ import annotations
 import re
 
 from bc_analyze.model import Finding
-from bc_analyze.source import (
-    FLOAT_LITERAL_RE,
-    IDENT_RE,
-    SourceFile,
-    match_paren,
-)
-
-# --- B1 ---------------------------------------------------------------------
-
-STATIC_CAST_RE = re.compile(r"\bstatic_cast\s*<\s*([^<>]+?)\s*>\s*\(")
-
-#: Cast targets that lose range or sign relative to Bytes (int64).
-NARROW_TARGETS = {
-    "int", "short", "char", "signed char", "unsigned char",
-    "unsigned", "unsigned int", "unsigned short", "unsigned long",
-    "float",
-    "std::int8_t", "std::int16_t", "std::int32_t",
-    "std::uint8_t", "std::uint16_t", "std::uint32_t", "std::uint64_t",
-    "int8_t", "int16_t", "int32_t",
-    "uint8_t", "uint16_t", "uint32_t", "uint64_t",
-    "std::size_t", "size_t",
-}
-
-
-def check_b1(sf: SourceFile, local_bytes: set[str], other_typed: set[str],
-             global_bytes: set[str]) -> list[Finding]:
-    out: list[Finding] = []
-    code = sf.code
-    for m in STATIC_CAST_RE.finditer(code):
-        target = " ".join(m.group(1).replace("const", "").split())
-        if target not in NARROW_TARGETS:
-            continue
-        open_idx = m.end() - 1
-        close_idx = match_paren(code, open_idx)
-        if close_idx < 0:
-            continue
-        arg = code[open_idx + 1:close_idx]
-        hit = _typed_identifier(arg, local_bytes, other_typed, global_bytes)
-        if hit is None:
-            continue
-        line = sf.line_at(m.start())
-        out.append(Finding(
-            rule="B1", slug="byte-narrowing", path=sf.rel, line=line,
-            message=(f"static_cast<{target}> on byte-counter expression"
-                     f" (`{hit}` is Bytes): narrowing or sign-changing a"
-                     " ledger value truncates/wraps real traffic; keep"
-                     " Bytes (int64) or convert to double for display"),
-        ))
-    return out
+from bc_analyze.source import FLOAT_LITERAL_RE, IDENT_RE, SourceFile
 
 
 def _typed_identifier(expr: str, local: set[str], other_typed: set[str],

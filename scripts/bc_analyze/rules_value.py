@@ -11,12 +11,11 @@ V2 maybe-zero-divisor   `/` or `%` whose divisor interval contains zero
                         (Eq. 1 denominators, histogram bucket math, rate
                         computations) with no dominating guard proving it
                         nonzero.
-V3 value-narrowing      the value-range upgrade of the syntactic B1 cast
-                        rule: a loop-carried / int64-derived value stored
-                        into a narrower type (int, uint32_t, NodeIndex,
-                        short, ... or double past 2^53) whose interval
-                        does not fit the target range — including the
-                        *implicit* conversions B1 cannot see.
+V3 value-narrowing      a Bytes / loop-carried / int64-derived value cast
+                        or stored into a narrower type (int, uint32_t,
+                        NodeIndex, short, ... or double past 2^53) whose
+                        interval does not fit the target range, including
+                        *implicit* conversions a cast scan cannot see.
 V4 unbounded-index      subscript arithmetic (`v[i + 1]`, `buf[cursor++]`,
                         `out[n - 1]`) with no dominating `size()` bound or
                         interval proof that the index stays in range.
@@ -128,6 +127,7 @@ class _Tables:
         self.i64: dict[str, set[str]] = {}
         self.narrow: dict[str, set[str]] = {}
         self.floats: dict[str, set[str]] = {}
+        self.ints: dict[str, set[str]] = {}
         for rel in program.by_rel:
             comp = (rel[:-4] + ".hpp" if rel.endswith(".cpp")
                     else rel[:-4] + ".cpp")
@@ -139,14 +139,21 @@ class _Tables:
             self.floats[rel] = (set(program.by_rel[rel].float_vars)
                                 | (set(comp_sf.float_vars) if comp_sf
                                    else set()))
+            self.ints[rel] = (program.by_rel[rel].int_vars
+                              | (comp_sf.int_vars if comp_sf else set()))
 
     def is_i64(self, rel: str, name: str) -> bool:
         # File-local knowledge wins over the cross-file table: a name
-        # declared narrow or floating *here* is not this file's int64.
+        # declared narrow or floating *here* is not this file's int64, and
+        # a name declared with any other type here (`std::uint64_t c`)
+        # never inherits another file's `Bytes c`.
         if name in self.narrow.get(rel, ()) \
                 or name in self.floats.get(rel, ()):
             return False
-        return name in self.i64.get(rel, ()) or name in self.global_i64
+        if name in self.i64.get(rel, ()):
+            return True
+        return (name not in self.ints.get(rel, ())
+                and name in self.global_i64)
 
 
 def run_value_rules(program: Program, exempt) -> list[Finding]:
@@ -609,11 +616,6 @@ def _check_v3(fn: FunctionDef, sf: SourceFile, ev: FunctionEval,
         if close < 0 or close > fn.end:
             continue
         inner = code[m.end():close]
-        # The syntactic B1 rule owns Bytes-expression casts; V3 adds the
-        # value-range dimension for non-Bytes int64 derivations so the two
-        # rules do not double-report one site.
-        if final_identifier(inner) in sf.bytes_vars:
-            continue
         narrowing(f"static_cast<{m.group(1).strip()}>", rng, inner,
                   m.start(), "cast of", float_target=is_float)
     return out

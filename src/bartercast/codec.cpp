@@ -65,9 +65,7 @@ std::vector<std::uint8_t> encode(const BarterCastMessage& message) {
     BC_ASSERT(r.subject_to_other >= 0 && r.other_to_subject >= 0);
     put<std::uint32_t>(out, r.subject);
     put<std::uint32_t>(out, r.other);
-    // bc-analyze: allow(B1) -- wire format stores amounts as u64; value asserted non-negative above, so the cast is value-preserving
     put<std::uint64_t>(out, static_cast<std::uint64_t>(r.subject_to_other));
-    // bc-analyze: allow(B1) -- wire format stores amounts as u64; value asserted non-negative above, so the cast is value-preserving
     put<std::uint64_t>(out, static_cast<std::uint64_t>(r.other_to_subject));
   }
   return out;

@@ -1,4 +1,4 @@
-// bc-analyze fixture: narrowing/sign-changing casts on Bytes (rule B1).
+// bc-analyze fixture: narrowing casts on Bytes (rule V3).
 #include <cstdint>
 
 using Bytes = std::int64_t;

@@ -66,8 +66,8 @@ class BadFixtures(unittest.TestCase):
             ("d3_random.cpp", 6, "D3"),
             ("d3_random.cpp", 7, "D3"),
             ("d3_random.cpp", 12, "D3"),
-            ("b1_narrowing.cpp", 7, "B1"),
-            ("b1_narrowing.cpp", 11, "B1"),
+            ("b1_narrowing.cpp", 7, "V3"),
+            ("b1_narrowing.cpp", 11, "V3"),
             ("b2_floateq.cpp", 4, "B2"),
             ("b2_floateq.cpp", 8, "B2"),
             ("b2_floateq.cpp", 12, "B2"),
@@ -518,9 +518,11 @@ class CliBehavior(unittest.TestCase):
     def test_list_rules(self):
         proc = run_analyzer("--list-rules")
         self.assertEqual(proc.returncode, 0)
-        for rule in ("D1", "D2", "D3", "B1", "B2", "C1", "C2", "C3", "G1",
+        for rule in ("D1", "D2", "D3", "B2", "C1", "C2", "C3", "G1",
                      "V1", "V2", "V3", "V4", "L1", "L2", "L3", "L4", "SUP"):
             self.assertIn(rule, proc.stdout)
+        # Narrowing casts on Bytes are V3's; the syntactic B1 rule is gone.
+        self.assertNotIn(" B1 ", proc.stdout)
 
     def test_missing_path_is_infra_error(self):
         proc = run_analyzer("no/such/dir")

@@ -8,8 +8,7 @@
 // ReferenceFlowGraph through identical randomized operation sequences and
 // cross-checks every query and every maxflow variant. Like the dense
 // graph it only grows: add_capacity is its one mutator (a max-merge is an
-// add of the difference). It also backs the dense-vs-hash comparison in
-// bench/graph_core.cpp.
+// add of the difference).
 //
 // Not for production use: the hash layout is slower on the two-hop hot path
 // and its iteration order is only made deterministic by per-call sorting.
