@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bartercast/backend.hpp"
 #include "community/simulator.hpp"
@@ -121,6 +122,54 @@ TEST(Determinism, GossipBackendFinalReputationsArePinned) {
     mix(std::bit_cast<std::uint64_t>(o.final_system_reputation));
   }
   EXPECT_EQ(digest, 0x4901214adc0fab83ull) << std::hex << digest;
+}
+
+// Pins the maxflow backend's end-to-end output down to the subjective
+// graphs: the gossip pin's community under a population that also sends
+// fabricated (slanderer) and inflated (sybil-region) records, digested over
+// the final system reputations and every node's view — its node set and
+// each out-edge (head, capacity), ascending. A change to how records are
+// max-merged into a view moves this digest even where it leaves the
+// reputations alone.
+TEST(Determinism, MaxflowViewsArePinned) {
+  trace::GeneratorConfig tcfg;
+  tcfg.seed = 55;
+  tcfg.num_peers = 30;
+  tcfg.num_swarms = 4;
+  tcfg.duration = 2.0 * kDay;
+  tcfg.file_size_max = mib(700);
+  ScenarioConfig cfg;
+  cfg.seed = 9;
+  cfg.policy = bartercast::ReputationPolicy::ban(-0.5);
+  cfg.population = "sharer:0.5,lazy:0.3,slanderer:0.1,sybil-region:0.1";
+  CommunitySimulator sim(trace::generate(tcfg), cfg);
+  sim.run();
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a 64
+  auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (word >> (8 * b)) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  ASSERT_EQ(sim.metrics().outcomes.size(), 30u);
+  std::size_t edges = 0;
+  for (const auto& o : sim.metrics().outcomes) {
+    mix(o.peer);
+    mix(std::bit_cast<std::uint64_t>(o.final_system_reputation));
+    const graph::FlowGraph& view = sim.node(o.peer).view().graph();
+    const std::vector<PeerId> nodes = view.nodes();
+    mix(nodes.size());
+    for (const PeerId n : nodes) {
+      mix(n);
+      for (const graph::Edge& e : view.out_edges(n)) {
+        mix(e.peer);
+        mix(std::bit_cast<std::uint64_t>(e.cap));
+        ++edges;
+      }
+    }
+  }
+  EXPECT_GT(edges, 0u);
+  EXPECT_EQ(digest, 0x75c9412893b7e781ull) << std::hex << digest;
 }
 
 }  // namespace
