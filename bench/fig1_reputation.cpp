@@ -9,6 +9,7 @@
 // figure isolates the reputation mechanism itself.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include <filesystem>
 
@@ -61,11 +62,12 @@ int main() {
               last_s, last_f);
 
   // Emit gnuplot inputs so the actual figures can be rendered.
-  std::filesystem::create_directories("bench_plots");
-  const auto gp_a = analysis::write_reputation_plot(m, "bench_plots", "fig1a");
-  const auto gp_b = analysis::write_scatter_plot(m, "bench_plots", "fig1b");
+  const std::string plots = bench::plot_dir();
+  std::filesystem::create_directories(plots);
+  const auto gp_a = analysis::write_reputation_plot(m, plots, "fig1a");
+  const auto gp_b = analysis::write_scatter_plot(m, plots, "fig1b");
   const auto gp_c =
-      analysis::write_reputation_histogram_plot(m, "bench_plots", "fig1c");
+      analysis::write_reputation_histogram_plot(m, plots, "fig1c");
   if (!gp_a.empty() && !gp_b.empty() && !gp_c.empty()) {
     std::printf("gnuplot scripts: %s %s %s\n", gp_a.c_str(), gp_b.c_str(),
                 gp_c.c_str());

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <filesystem>
@@ -106,9 +107,10 @@ int main() {
   std::printf("paper: freerider speed ordered -0.3 <= -0.5 <= -0.7, with "
               "gap(-0.5,-0.7) > gap(-0.3,-0.5)\n");
 
-  std::filesystem::create_directories("bench_plots");
-  (void)analysis::write_speed_plot(*rank_first, "bench_plots", "fig2a_rank");
-  (void)analysis::write_speed_plot(*ban_first, "bench_plots", "fig2b_ban");
+  const std::string plots = bench::plot_dir();
+  std::filesystem::create_directories(plots);
+  (void)analysis::write_speed_plot(*rank_first, plots, "fig2a_rank");
+  (void)analysis::write_speed_plot(*ban_first, plots, "fig2b_ban");
 
   // Shape checks: ban punishes harder than rank; both keep sharers ahead;
   // the delta sweep is ordered.

@@ -9,6 +9,7 @@
 //     observer — about 40% negative, ~50% around zero, ~10% positive.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include <filesystem>
@@ -80,8 +81,9 @@ int main() {
   std::printf("messages logged: %zu, records applied: %zu\n",
               result.messages_logged, result.records_applied);
 
-  std::filesystem::create_directories("bench_plots");
-  (void)analysis::write_cdf_plot(cdf, "bench_plots", "fig4b",
+  const std::string plots = bench::plot_dir();
+  std::filesystem::create_directories(plots);
+  (void)analysis::write_cdf_plot(cdf, plots, "fig4b",
                                  "reputation at the observer");
 
   // Shape checks against the published distribution.

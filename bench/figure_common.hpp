@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <string>
 
 #include "community/scenario.hpp"
 #include "community/simulator.hpp"
@@ -41,6 +42,13 @@ namespace bench {
 inline bool quick_mode() {
   const char* v = std::getenv("BC_QUICK");
   return v != nullptr && std::strcmp(v, "0") != 0;
+}
+
+/// Directory the figure benches write their gnuplot inputs to. Quick runs
+/// get a subdirectory of their own, so they never overwrite the committed
+/// paper-scale `bench_plots/*.dat`.
+inline std::string plot_dir() {
+  return quick_mode() ? "bench_plots/quick" : "bench_plots";
 }
 
 /// Dumps whatever observability outputs the environment requested; runs at

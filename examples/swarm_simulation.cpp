@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --threads must be an integer >= 1\n");
     return 1;
   }
+  // bc-analyze: allow(V3) -- threads >= 1: the early return above rejects smaller values, a guard the analyzer does not follow
   cfg.threads = static_cast<std::size_t>(threads);
   cfg.metrics_stream_path = metrics_stream;
   cfg.population = flags->get("population", "");

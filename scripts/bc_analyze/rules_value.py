@@ -83,12 +83,15 @@ TYPE_WORD_RE = re.compile(
     r"|u?int(?:8|16|32|64)_t|size_t|NodeIndex|PeerId|constexpr|const"
     r"|static|new)$")
 
-#: Narrow target ranges for V3 (everything strictly smaller than int64).
+#: Narrow target ranges for V3: every type that cannot hold all of int64,
+#: either because it is smaller or, for the 64-bit unsigned types, because
+#: it has no negative values.
 NARROW_RANGES: dict[str, Interval] = {
     t: type_range(t)
     for t in ("int", "int32_t", "std::int32_t", "uint32_t", "std::uint32_t",
               "short", "int16_t", "uint16_t", "int8_t", "uint8_t",
-              "unsigned", "NodeIndex", "PeerId")
+              "unsigned", "NodeIndex", "PeerId", "uint64_t", "std::uint64_t",
+              "size_t", "std::size_t")
 }
 
 

@@ -57,11 +57,16 @@ SharedHistory::ApplyStats SharedHistory::apply_message(
       continue;
     }
     // Max-merge: a record only ever raises an edge (cumulative counters).
-    const bool raised_fwd =
-        graph_.raise_capacity(r.subject, r.other, r.subject_to_other);
-    const bool raised_back =
-        graph_.raise_capacity(r.other, r.subject, r.other_to_subject);
-    if (raised_fwd || raised_back) {
+    // Rule 2 makes the sender one end of both edges, so every record of
+    // the message is merged within the sender's two rows.
+    const bool from_subject = r.subject == message.sender;
+    const PeerId other = from_subject ? r.other : r.subject;
+    const Bytes sender_to_other =
+        from_subject ? r.subject_to_other : r.other_to_subject;
+    const Bytes other_to_sender =
+        from_subject ? r.other_to_subject : r.subject_to_other;
+    if (graph_.raise_pair(message.sender, other, sender_to_other,
+                          other_to_sender)) {
       ++version_;
       // A remote edge (subject, other) is incident to exactly those two
       // peers, so they are the only subjects whose two-hop reputation

@@ -10,23 +10,17 @@ namespace bc::graph {
 namespace {
 
 /// Position of `peer` in a sorted adjacency array (lower bound).
-std::vector<Edge>::iterator adj_lower_bound(std::vector<Edge>& adj,
-                                            PeerId peer) {
-  return std::lower_bound(
-      adj.begin(), adj.end(), peer,
-      [](const Edge& e, PeerId p) { return e.peer < p; });
-}
-
-std::vector<Edge>::const_iterator adj_lower_bound(
-    const std::vector<Edge>& adj, PeerId peer) {
+template <typename Adj>  // std::vector<Edge>, const or not
+auto adj_lower_bound(Adj& adj, PeerId peer) {
   return std::lower_bound(
       adj.begin(), adj.end(), peer,
       [](const Edge& e, PeerId p) { return e.peer < p; });
 }
 
 /// Pointer to the entry for `peer`, or nullptr if absent.
-const Edge* adj_find(const std::vector<Edge>& adj, PeerId peer) {
-  auto it = adj_lower_bound(adj, peer);
+template <typename Adj>
+auto* adj_find(Adj& adj, PeerId peer) {
+  const auto it = adj_lower_bound(adj, peer);
   return it != adj.end() && it->peer == peer ? &*it : nullptr;
 }
 
@@ -51,10 +45,10 @@ void FlowGraph::insert_edge(NodeIndex fi, NodeIndex ti, PeerId from,
   ++gen_;
 }
 
-void FlowGraph::update_edge(NodeIndex fi, NodeIndex ti, PeerId from,
-                            PeerId to, Bytes cap) {
-  adj_lower_bound(out_[fi], to)->cap = cap;
-  adj_lower_bound(in_[ti], from)->cap = cap;
+void FlowGraph::set_cap(Edge& e, std::vector<std::vector<Edge>>& mirror_side,
+                        PeerId owner, Bytes cap) {
+  e.cap = cap;
+  adj_lower_bound(mirror_side[e.slot_], owner)->cap = cap;
 }
 
 void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
@@ -63,37 +57,54 @@ void FlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   const NodeIndex fi = touch(from);
   const NodeIndex ti = touch(to);
   if (amount == 0) return;
-  const auto [cap, inserted] = caps_.find_or_insert(fi, to, amount);
-  if (inserted) {
+  Edge* e = adj_find(out_[fi], to);
+  if (e == nullptr) {
     insert_edge(fi, ti, from, to, amount);
     return;
   }
   // Gossiped capacities are attacker-influenced: saturate rather than
   // trust the remote ledger to stay inside int64.
-  *cap = util::saturating_add(*cap, amount);
-  update_edge(fi, ti, from, to, *cap);
+  set_cap(*e, in_, from, util::saturating_add(e->cap, amount));
 }
 
-bool FlowGraph::raise_capacity(PeerId from, PeerId to, Bytes amount) {
-  BC_ASSERT_MSG(from != to, "self-edges carry no reputation information");
-  if (amount <= 0) return false;
-  const NodeIndex fi = touch(from);
-  const auto [cap, inserted] = caps_.find_or_insert(fi, to, amount);
-  if (inserted) {
-    insert_edge(fi, touch(to), from, to, amount);
-    return true;
+bool FlowGraph::raise_pair(PeerId peer, PeerId other, Bytes peer_to_other,
+                           Bytes other_to_peer) {
+  BC_ASSERT_MSG(peer != other, "self-edges carry no reputation information");
+  NodeIndex pi = index_.find(peer);
+  bool wrote = false;
+  // c(peer, other) sits in peer's out-row, its mirror in other's in-row.
+  if (peer_to_other > 0) {
+    Edge* e = pi == kNoNode ? nullptr : adj_find(out_[pi], other);
+    if (e == nullptr) {
+      if (pi == kNoNode) pi = touch(peer);
+      insert_edge(pi, touch(other), peer, other, peer_to_other);
+      wrote = true;
+    } else if (peer_to_other > e->cap) {
+      set_cap(*e, in_, peer, peer_to_other);
+      wrote = true;
+    }
   }
-  if (amount <= *cap) return false;
-  *cap = amount;
-  update_edge(fi, index_.find(to), from, to, amount);
-  return true;
+  // c(other, peer) sits in peer's in-row, its mirror in other's out-row.
+  if (other_to_peer > 0) {
+    Edge* e = pi == kNoNode ? nullptr : adj_find(in_[pi], other);
+    if (e == nullptr) {
+      const NodeIndex oi = touch(other);
+      if (pi == kNoNode) pi = touch(peer);
+      insert_edge(oi, pi, other, peer, other_to_peer);
+      wrote = true;
+    } else if (other_to_peer > e->cap) {
+      set_cap(*e, out_, peer, other_to_peer);
+      wrote = true;
+    }
+  }
+  return wrote;
 }
 
 Bytes FlowGraph::capacity(PeerId from, PeerId to) const {
   const NodeIndex fi = index_.find(from);
   if (fi == kNoNode) return 0;
-  const Bytes* cap = caps_.find(fi, to);
-  return cap == nullptr ? 0 : *cap;
+  const Edge* e = adj_find(out_[fi], to);
+  return e == nullptr ? 0 : e->cap;
 }
 
 std::span<const Edge> FlowGraph::edges_of(
@@ -205,9 +216,6 @@ bool FlowGraph::check_invariants() const {
       if (to == kNoNode || to >= in_.size() || e.slot_ != to) return false;
       const Edge* mirror = adj_find(in_[to], id);
       if (mirror == nullptr || mirror->cap != e.cap) return false;
-      // The point-query sidecar must agree with the adjacency array.
-      const Bytes* side = caps_.find(slot, e.peer);
-      if (side == nullptr || *side != e.cap) return false;
       ++edges;
     }
     // Every in-edge must have a matching out-edge with the same capacity.
@@ -220,9 +228,6 @@ bool FlowGraph::check_invariants() const {
       if (fwd == nullptr || fwd->cap != e.cap) return false;
     }
   }
-  // Size equality makes the sidecar's agreement exact: every edge was
-  // found above, so equal counts rule out stray sidecar entries.
-  if (caps_.size() != num_edges_) return false;
   return edges == num_edges_;
 }
 

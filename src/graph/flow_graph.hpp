@@ -4,16 +4,18 @@
 // has uploaded to peer j in the past" (paper §3.2), and remote records are
 // max-merged as cumulative totals (§3.4). The graph therefore only grows:
 // nodes are never removed and capacities never fall. Its two mutators are
-// add_capacity (local transfers) and raise_capacity (gossip max-merge).
+// add_capacity (local transfers) and raise_pair (the gossip max-merge of
+// one record, both directions of a pair).
 //
 // At reputation-serving scale the two-hop maxflow query is the hot path of
 // the whole system, so storage is a dense-index core: a PeerIndex interns
 // PeerIds to dense NodeIndex slots on first touch, and per-node adjacency
 // is a sorted array of Edge entries (ascending neighbor PeerId) with a
-// mirrored in-edge array for reverse traversal. Sorted arrays make neighbor
-// queries a binary search, the two-hop flow a linear merge-scan (see
-// maxflow.cpp), and every public iteration surface deterministically
-// ordered without sorted_view wrappers.
+// mirrored in-edge array for reverse traversal; each capacity is stored in
+// exactly those two entries. Sorted arrays make neighbor queries (the
+// capacity() point query included) a binary search, the two-hop flow a
+// linear merge-scan (see maxflow.cpp), and every public iteration surface
+// deterministically ordered without sorted_view wrappers.
 //
 // The public API speaks PeerId, plus one whole-graph read surface for
 // sweeps, ranked_adjacency(), which speaks ranks (positions in ascending
@@ -26,12 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/peer_index.hpp"
 #include "util/assert.hpp"
-#include "util/checked.hpp"  // BC_NO_SANITIZE_INTEGER
 #include "util/ids.hpp"
 #include "util/units.hpp"
 
@@ -143,7 +143,7 @@ class RankedAdjacency {
 /// and validate builds every access BC_DASSERT-checks that no edge has been
 /// inserted into the owning FlowGraph since the view was taken — an insert
 /// can reallocate an adjacency array, so holding a view across
-/// add_capacity/raise_capacity is the classic dangling-span bug (bc-analyze
+/// add_capacity/raise_pair is the classic dangling-span bug (bc-analyze
 /// rule L2), and this makes it fail-stop instead of silent UB.
 class EdgeView {
  public:
@@ -216,12 +216,17 @@ class FlowGraph {
   /// the nodes (but not the edge).
   void add_capacity(PeerId from, PeerId to, Bytes amount);
 
-  /// Max-merge: raises the capacity of (from, to) to `amount` when that
-  /// exceeds the current one (0 for an absent edge), creating nodes and the
-  /// edge as needed; otherwise changes nothing, so a non-positive amount is
-  /// always a no-op. Returns whether it wrote. One sidecar probe decides,
-  /// so the common no-change case never touches the adjacency arrays.
-  bool raise_capacity(PeerId from, PeerId to, Bytes amount);
+  /// Max-merge of one gossip record about the pair (peer, other): raises
+  /// c(peer, other) to `peer_to_other`, then c(other, peer) to
+  /// `other_to_peer`, each only where it exceeds the current capacity (0 for
+  /// an absent edge). A direction whose amount does not exceed it, a
+  /// non-positive one included, changes nothing. Nodes are created only by
+  /// an edge insert, in the order of that insert's (from, to). Returns
+  /// whether it wrote anything. Both edges are found in `peer`'s out- and
+  /// in-rows, so a caller that passes the same `peer` for a run of records
+  /// (a message's sender, §3.4 rule 2) probes the same two rows each time.
+  bool raise_pair(PeerId peer, PeerId other, Bytes peer_to_other,
+                  Bytes other_to_peer);
 
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
@@ -281,96 +286,19 @@ class FlowGraph {
   // Inserts the new edge (from, to) into both sorted adjacency arrays.
   void insert_edge(NodeIndex fi, NodeIndex ti, PeerId from, PeerId to,
                    Bytes cap);
-  // Writes `cap` into both adjacency entries of the existing edge.
-  void update_edge(NodeIndex fi, NodeIndex ti, PeerId from, PeerId to,
-                   Bytes cap);
+  // Writes `cap` into `e`, an entry of one of `owner`'s rows, and into its
+  // mirror: `owner`'s entry in the neighbor's row on `mirror_side`, reached
+  // through the slot `e` stores.
+  static void set_cap(Edge& e, std::vector<std::vector<Edge>>& mirror_side,
+                      PeerId owner, Bytes cap);
 
   // Adjacency of `node` in one side (out_ or in_); empty for unknown nodes.
   std::span<const Edge> edges_of(const std::vector<std::vector<Edge>>& side,
                                  PeerId node) const;
 
-  /// Flat open-addressing sidecar mapping (tail slot, head PeerId) to the
-  /// edge capacity. The sorted adjacency arrays stay the source of truth
-  /// for every iteration surface (merge scans, spans, determinism); the
-  /// sidecar exists solely so the point query `capacity(from, to)` is a
-  /// single probe sequence instead of a binary search over a scattered
-  /// adjacency array. Linear probing; entries are never removed, so the
-  /// table needs no tombstones.
-  class CapSidecar {
-   public:
-    const Bytes* find(NodeIndex from, PeerId to) const {
-      if (cells_.empty()) return nullptr;
-      const Cell& c = cells_[probe(key_of(from, to))];
-      return c.key == kEmpty ? nullptr : &c.cap;
-    }
-
-    /// The capacity cell of (from, to) and whether it was just inserted
-    /// (holding `cap`); an existing cell is left as it is. Only an insert
-    /// can grow the table. The pointer is valid until the next insertion.
-    std::pair<Bytes*, bool> find_or_insert(NodeIndex from, PeerId to,
-                                           Bytes cap) {
-      const std::uint64_t key = key_of(from, to);
-      if (!cells_.empty()) {
-        Cell& c = cells_[probe(key)];
-        if (c.key == key) return {&c.cap, false};
-      }
-      if ((size_ + 1) * 4 > cells_.size() * 3) grow();
-      Cell& c = cells_[probe(key)];
-      c = Cell{key, cap};
-      ++size_;
-      return {&c.cap, true};
-    }
-
-    std::size_t size() const { return size_; }
-
-   private:
-    struct Cell {
-      std::uint64_t key;
-      Bytes cap;
-    };
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    // Slot numbers never reach kNoNode, so the packed key can never
-    // collide with the empty sentinel.
-    static std::uint64_t key_of(NodeIndex from, PeerId to) {
-      return (std::uint64_t{from} << 32) | std::uint64_t{to};
-    }
-
-    BC_NO_SANITIZE_INTEGER static std::size_t hash_of(std::uint64_t x) {
-      x += 0x9e3779b97f4a7c15ull;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-
-    // The cell holding `key`, else the free cell its probe run ends at.
-    std::size_t probe(std::uint64_t key) const {
-      std::size_t i = hash_of(key) & mask_;
-      while (cells_[i].key != kEmpty && cells_[i].key != key) {
-        i = (i + 1) & mask_;
-      }
-      return i;
-    }
-
-    void grow() {
-      std::vector<Cell> old = std::move(cells_);
-      const std::size_t n = old.empty() ? 16 : old.size() * 2;
-      cells_.assign(n, Cell{kEmpty, 0});
-      mask_ = n - 1;
-      for (const Cell& c : old) {
-        if (c.key != kEmpty) cells_[probe(c.key)] = c;
-      }
-    }
-
-    std::vector<Cell> cells_;  // power-of-two sized; key == kEmpty is free
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-  };
-
   PeerIndex index_;
   std::vector<std::vector<Edge>> out_;  // slot -> sorted out-adjacency
   std::vector<std::vector<Edge>> in_;   // slot -> sorted in-adjacency
-  CapSidecar caps_;                     // (slot, head) -> capacity
   std::size_t num_edges_ = 0;
   std::uint64_t gen_ = 0;  // see generation()
 };

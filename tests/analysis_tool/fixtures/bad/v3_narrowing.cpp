@@ -13,3 +13,8 @@ unsigned record_slot(std::int64_t total_bytes) {
   slot = total_bytes;
   return slot;
 }
+
+// A possibly negative byte count cast to an unsigned 64-bit wire word.
+std::uint64_t wire_word(std::int64_t claimed_bytes) {
+  return static_cast<std::uint64_t>(claimed_bytes);
+}

@@ -108,6 +108,7 @@ class BadFixtures(unittest.TestCase):
             ("v2_zerodiv.cpp", 12, "V2"),
             ("v3_narrowing.cpp", 8, "V3"),
             ("v3_narrowing.cpp", 13, "V3"),
+            ("v3_narrowing.cpp", 19, "V3"),
             ("v4_span.cpp", 7, "V4"),
             ("v4_span.cpp", 11, "V4"),
             # Lifetime rules (escape analysis over the call graph).

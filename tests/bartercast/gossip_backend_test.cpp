@@ -263,7 +263,7 @@ graph::FlowGraph random_view(Rng& rng, const ViewShape& shape) {
     if (rng.chance(0.5)) {
       g.add_capacity(ids[a], ids[b], amount);
     } else {
-      g.raise_capacity(ids[a], ids[b], amount);
+      g.raise_pair(ids[a], ids[b], amount, 0);
     }
   }
   return g;

@@ -65,6 +65,7 @@ TEST(SharedHistory, AcceptsRecordWhereSenderIsOther) {
   const auto stats = sh.apply_message(msg);
   EXPECT_EQ(stats.applied, 1u);
   EXPECT_EQ(sh.graph().capacity(5, 6), 80);
+  EXPECT_EQ(sh.graph().capacity(6, 5), 20);
 }
 
 TEST(SharedHistory, DropsSelfReports) {

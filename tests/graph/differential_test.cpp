@@ -1,13 +1,14 @@
 // Differential suite: the dense FlowGraph/maxflow stack vs. the retained
 // hash-map ReferenceFlowGraph oracle (reference_graph.hpp). Both sides are
 // driven through identical randomized sequences of the graph's two
-// mutators — add_capacity and the raise_capacity max-merge — and every
+// mutators — add_capacity and the raise_pair max-merge — and every
 // query surface must agree at every checkpoint. Both maxflow variants
 // must match their oracle ports, and unbounded Ford-Fulkerson must match
 // the oracle's independent BFS (Edmonds-Karp) maxflow. Runs under the
 // asan-ubsan preset in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +63,10 @@ TEST_P(DifferentialRandom, RandomOpsAgreeEverywhere) {
   ReferenceFlowGraph ref;
   std::vector<PeerId> first_touch;  // peers in the order they appeared
   auto seen = [&](PeerId p) {
-    if (!ref.has_node(p)) first_touch.push_back(p);
+    if (std::find(first_touch.begin(), first_touch.end(), p) ==
+        first_touch.end()) {
+      first_touch.push_back(p);
+    }
   };
   for (int step = 0; step < 400; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
@@ -75,20 +79,33 @@ TEST_P(DifferentialRandom, RandomOpsAgreeEverywhere) {
       seen(v);
       dense.add_capacity(u, v, amount);
       ref.add_capacity(u, v, amount);
-    } else {  // gossip max-merge; non-positive claims are no-ops
-      const Bytes amount = rng.uniform_int(-100, 1500);
-      const Bytes current = ref.capacity(u, v);
-      const bool raises = amount > current;
-      if (raises) {
+    } else {  // gossip max-merge of one record about the pair (u, v)
+      // u plays the sender; u and v are drawn independently, so each
+      // unordered pair is merged in both orientations. Non-positive claims,
+      // on either side, are no-ops.
+      const Bytes fwd = rng.uniform_int(-500, 1500);
+      const Bytes back = rng.uniform_int(-500, 1500);
+      const Bytes fwd_was = ref.capacity(u, v);
+      const Bytes back_was = ref.capacity(v, u);
+      const bool raises_fwd = fwd > fwd_was;
+      const bool raises_back = back > back_was;
+      // An insert creates its tail, then its head.
+      if (raises_fwd) {
         seen(u);
         seen(v);
-        ref.add_capacity(u, v, amount - current);
       }
+      if (raises_back) {
+        seen(v);
+        seen(u);
+      }
+      ASSERT_EQ(ref.raise_pair(u, v, fwd, back), raises_fwd || raises_back);
       const std::uint64_t gen = dense.generation();
-      ASSERT_EQ(dense.raise_capacity(u, v, amount), raises) << step;
-      // Only an insert (a raise of an absent edge) is structural.
-      EXPECT_EQ(dense.generation(), gen + (raises && current == 0 ? 1 : 0))
+      ASSERT_EQ(dense.raise_pair(u, v, fwd, back), raises_fwd || raises_back)
           << step;
+      // Only an insert (a raise of an absent edge) is structural.
+      const std::uint64_t inserts = (raises_fwd && fwd_was == 0 ? 1u : 0u) +
+                                    (raises_back && back_was == 0 ? 1u : 0u);
+      EXPECT_EQ(dense.generation(), gen + inserts) << step;
     }
     if (step % 40 == 39) expect_same_state(dense, ref);
   }

@@ -119,11 +119,16 @@ TEST(FlowGraph, RaiseCapacityIgnoresLowerOrEqual) {
   FlowGraph g;
   g.add_capacity(1, 2, 100);
   const std::uint64_t gen = g.generation();
-  EXPECT_FALSE(g.raise_capacity(1, 2, 100));
-  EXPECT_FALSE(g.raise_capacity(1, 2, 40));
-  EXPECT_FALSE(g.raise_capacity(1, 2, 0));
-  EXPECT_FALSE(g.raise_capacity(1, 2, -7));
+  EXPECT_FALSE(g.raise_pair(1, 2, 100, 0));
+  EXPECT_FALSE(g.raise_pair(1, 2, 40, -3));
+  EXPECT_FALSE(g.raise_pair(1, 2, 0, 0));
+  EXPECT_FALSE(g.raise_pair(1, 2, -7, -7));
+  // The same edge, found in the rows of its head.
+  EXPECT_FALSE(g.raise_pair(2, 1, 0, 100));
+  EXPECT_FALSE(g.raise_pair(2, 1, -1, 99));
   EXPECT_EQ(g.capacity(1, 2), 100);
+  EXPECT_EQ(g.capacity(2, 1), 0);
+  EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.generation(), gen);
   EXPECT_TRUE(g.check_invariants());
 }
@@ -133,7 +138,7 @@ TEST(FlowGraph, RaiseCapacityUpdatesEveryView) {
   g.add_capacity(1, 2, 100);
   g.add_capacity(3, 2, 5);
   const std::uint64_t gen = g.generation();
-  EXPECT_TRUE(g.raise_capacity(1, 2, 250));
+  EXPECT_TRUE(g.raise_pair(1, 2, 250, 0));
   EXPECT_EQ(g.capacity(1, 2), 250);
   ASSERT_EQ(g.out_edges(1).size(), 1u);
   EXPECT_EQ(g.out_edges(1)[0], (Edge{2, 250}));
@@ -142,43 +147,68 @@ TEST(FlowGraph, RaiseCapacityUpdatesEveryView) {
   EXPECT_EQ(g.in_edges(2)[1], (Edge{3, 5}));
   EXPECT_EQ(g.generation(), gen);  // content update, no structural change
   EXPECT_TRUE(g.check_invariants());
+  // Raised again from the head's side: the in-row entry and its out-row
+  // mirror move together.
+  EXPECT_TRUE(g.raise_pair(2, 1, 0, 300));
+  EXPECT_EQ(g.capacity(1, 2), 300);
+  EXPECT_EQ(g.out_edges(1)[0], (Edge{2, 300}));
+  EXPECT_EQ(g.in_edges(2)[0], (Edge{1, 300}));
+  EXPECT_EQ(g.generation(), gen);
+  EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, RaiseCapacityCreatesEdge) {
   FlowGraph g;
   const std::uint64_t gen = g.generation();
-  EXPECT_TRUE(g.raise_capacity(4, 9, 30));
+  EXPECT_TRUE(g.raise_pair(4, 9, 30, 0));
   EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.capacity(4, 9), 30);
   EXPECT_GT(g.generation(), gen);
   // A no-op raise on absent nodes creates nothing.
-  EXPECT_FALSE(g.raise_capacity(5, 6, 0));
+  EXPECT_FALSE(g.raise_pair(5, 6, 0, -1));
   EXPECT_FALSE(g.has_node(5));
   EXPECT_FALSE(g.has_node(6));
+  EXPECT_TRUE(g.check_invariants());
+  // Nodes are created by an insert, tail first: (7, 8) before (8, 7) ...
+  EXPECT_TRUE(g.raise_pair(7, 8, 5, 6));
+  EXPECT_EQ(g.capacity(7, 8), 5);
+  EXPECT_EQ(g.capacity(8, 7), 6);
+  EXPECT_LT(g.index().find(7), g.index().find(8));
+  // ... and a pair whose only insert is (11, 10) creates 11 first.
+  EXPECT_TRUE(g.raise_pair(10, 11, -4, 3));
+  EXPECT_EQ(g.capacity(11, 10), 3);
+  EXPECT_LT(g.index().find(11), g.index().find(10));
+  EXPECT_EQ(g.num_nodes(), 6u);
+  EXPECT_EQ(g.num_edges(), 4u);
   EXPECT_TRUE(g.check_invariants());
 }
 
 TEST(FlowGraph, RaiseCapacityMatchesProbeThenSet) {
-  // Reference: the capacity() probe plus an add_capacity() of the
-  // difference, which is what raise_capacity fuses into one lookup.
-  // Both graphs see the same stream; non-positive amounts must leave
-  // the graph untouched, absent nodes included.
+  // Reference: per direction, the capacity() probe plus an add_capacity()
+  // of the difference, which is what raise_pair fuses into lookups in the
+  // rows of `peer`. Both graphs see the same stream; non-positive amounts
+  // must leave the graph untouched, absent nodes included.
   Rng rng(7);
   FlowGraph fast;
   FlowGraph ref;
-  for (int step = 0; step < 4000; ++step) {
-    const auto from = static_cast<PeerId>(rng.uniform_int(0, 15));
-    auto to = static_cast<PeerId>(rng.uniform_int(0, 14));
-    if (to >= from) ++to;
-    const Bytes amount = 10 * rng.uniform_int(-1, 12);
-    bool changed = false;
+  auto probe_then_add = [&ref](PeerId from, PeerId to, Bytes amount) {
     const Bytes current = ref.capacity(from, to);
-    if (amount > current) {
-      ref.add_capacity(from, to, amount - current);
-      changed = true;
-    }
-    ASSERT_EQ(fast.raise_capacity(from, to, amount), changed) << step;
+    if (amount <= current) return false;
+    ref.add_capacity(from, to, amount - current);
+    return true;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const auto peer = static_cast<PeerId>(rng.uniform_int(0, 15));
+    auto other = static_cast<PeerId>(rng.uniform_int(0, 14));
+    if (other >= peer) ++other;
+    const Bytes fwd = 10 * rng.uniform_int(-1, 12);
+    const Bytes back = 10 * rng.uniform_int(-1, 12);
+    const bool changed_fwd = probe_then_add(peer, other, fwd);
+    const bool changed_back = probe_then_add(other, peer, back);
+    ASSERT_EQ(fast.raise_pair(peer, other, fwd, back),
+              changed_fwd || changed_back)
+        << step;
     ASSERT_EQ(fast.generation(), ref.generation()) << step;
   }
   ASSERT_TRUE(fast.check_invariants());
@@ -212,7 +242,8 @@ TEST(FlowGraph, StoredSlotsFollowTheirEntries) {
     if (rng.chance(0.5)) {
       g.add_capacity(from, to, rng.uniform_int(0, 50));
     } else {
-      g.raise_capacity(from, to, rng.uniform_int(-5, 500));
+      const Bytes fwd = rng.uniform_int(-5, 500);
+      g.raise_pair(from, to, fwd, rng.uniform_int(-5, 500));
     }
     if (step % 100 == 99) {
       ASSERT_TRUE(g.check_invariants()) << step;
@@ -241,7 +272,8 @@ TEST(FlowGraph, RankedAdjacencyMirrorsThePeerIdApi) {
     auto to = static_cast<PeerId>((PeerId{1} << 31) +
                                   977 * rng.uniform_int(0, 39));
     if (to >= from) to += 977;
-    g.raise_capacity(from, to, rng.uniform_int(0, 1000));
+    const Bytes fwd = rng.uniform_int(0, 1000);
+    g.raise_pair(from, to, fwd, rng.uniform_int(-500, 500));
   }
   g.add_capacity(3, 1, 0);  // isolated nodes below every other id
   RankedAdjacency adj;

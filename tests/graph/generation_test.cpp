@@ -19,10 +19,14 @@ TEST(GenerationTest, BumpsOnEveryStructuralMutation) {
   const std::uint64_t start = g.generation();
   g.add_capacity(1, 2, 10);  // insert through add_capacity
   EXPECT_EQ(g.generation(), start + 1);
-  g.raise_capacity(2, 3, 4);  // insert through raise_capacity
+  g.raise_pair(2, 3, 4, 0);  // insert through raise_pair
   EXPECT_EQ(g.generation(), start + 2);
-  g.raise_capacity(5, 6, 1);  // insert that also creates both nodes
+  g.raise_pair(5, 6, 1, 0);  // insert that also creates both nodes
   EXPECT_EQ(g.generation(), start + 3);
+  g.raise_pair(7, 8, 2, 3);  // two inserts in one record: one bump each
+  EXPECT_EQ(g.generation(), start + 5);
+  g.raise_pair(3, 2, 6, 9);  // one insert (3, 2), one in-place raise
+  EXPECT_EQ(g.generation(), start + 6);
 }
 
 TEST(GenerationTest, ContentUpdatesDoNotBump) {
@@ -34,9 +38,11 @@ TEST(GenerationTest, ContentUpdatesDoNotBump) {
   const std::uint64_t gen = g.generation();
   g.add_capacity(1, 2, 5);  // saturating in-place add
   EXPECT_EQ(g.generation(), gen);
-  EXPECT_TRUE(g.raise_capacity(1, 2, 40));  // in-place raise
+  EXPECT_TRUE(g.raise_pair(1, 2, 40, 0));  // in-place raise
   EXPECT_EQ(g.generation(), gen);
-  EXPECT_FALSE(g.raise_capacity(1, 2, 7));  // no-op raise
+  EXPECT_TRUE(g.raise_pair(2, 1, 0, 50));  // in-place, from the head's rows
+  EXPECT_EQ(g.generation(), gen);
+  EXPECT_FALSE(g.raise_pair(1, 2, 7, -1));  // no-op raise
   EXPECT_EQ(g.generation(), gen);
   g.add_capacity(3, 4, 0);  // node creation without an edge
   EXPECT_EQ(g.generation(), gen);

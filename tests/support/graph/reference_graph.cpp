@@ -35,6 +35,21 @@ void ReferenceFlowGraph::add_capacity(PeerId from, PeerId to, Bytes amount) {
   }
 }
 
+bool ReferenceFlowGraph::raise(PeerId from, PeerId to, Bytes amount) {
+  const Bytes current = capacity(from, to);
+  if (amount <= current) return false;
+  add_capacity(from, to, amount - current);
+  return true;
+}
+
+bool ReferenceFlowGraph::raise_pair(PeerId peer, PeerId other,
+                                    Bytes peer_to_other,
+                                    Bytes other_to_peer) {
+  const bool fwd = raise(peer, other, peer_to_other);
+  const bool back = raise(other, peer, other_to_peer);
+  return fwd || back;
+}
+
 Bytes ReferenceFlowGraph::capacity(PeerId from, PeerId to) const {
   auto node = out_.find(from);
   if (node == out_.end()) return 0;

@@ -7,8 +7,8 @@
 // (tests/graph/differential_test.cpp) drives the dense FlowGraph and this
 // ReferenceFlowGraph through identical randomized operation sequences and
 // cross-checks every query and every maxflow variant. Like the dense
-// graph it only grows: add_capacity is its one mutator (a max-merge is an
-// add of the difference).
+// graph it only grows: raise_pair is built from add_capacity (a max-merge
+// is an add of the difference).
 //
 // Not for production use: the hash layout is slower on the two-hop hot path
 // and its iteration order is only made deterministic by per-call sorting.
@@ -31,6 +31,13 @@ class ReferenceFlowGraph {
   /// edge as needed. `amount` must be >= 0; zero-amount calls still create
   /// the nodes (but not the edge).
   void add_capacity(PeerId from, PeerId to, Bytes amount);
+
+  /// Max-merge of one gossip record about (peer, other), as two independent
+  /// raises: c(peer, other) to `peer_to_other`, then c(other, peer) to
+  /// `other_to_peer`. A raise that exceeds the current capacity adds the
+  /// difference; any other changes nothing. Returns whether either wrote.
+  bool raise_pair(PeerId peer, PeerId other, Bytes peer_to_other,
+                  Bytes other_to_peer);
 
   /// Capacity of (from, to); 0 if the edge or either node is absent.
   Bytes capacity(PeerId from, PeerId to) const;
@@ -60,6 +67,8 @@ class ReferenceFlowGraph {
  private:
   // Ensures the node exists in both indices.
   void touch(PeerId node);
+  // One max-merge: raises c(from, to) to `amount` if that is higher.
+  bool raise(PeerId from, PeerId to, Bytes amount);
 
   std::unordered_map<PeerId, std::unordered_map<PeerId, Bytes>> out_;
   std::unordered_map<PeerId, std::unordered_set<PeerId>> in_;
